@@ -14,7 +14,7 @@ from importlib import resources
 
 from .combinat import compositions_of, partitions_of, sort_to_partition
 from .form import pair_h_at, pair_h_generic
-from .polyq import QPoly, det_exact, divide_out, rank_exact
+from .polyq import QPoly, det_by_interpolation, det_exact, divide_out, rank_exact
 
 GENERIC_DET_BOUND = 6
 
@@ -53,11 +53,19 @@ def gram_matrix(n: int, q="generic", basis: str = "compositions",
 @lru_cache(maxsize=None)
 def gram_det(n: int) -> QPoly:
     """Generic-q determinant of the composition Gram matrix, normalized to a
-    positive leading coefficient."""
+    positive leading coefficient.
+
+    The determinant comes from evaluation and interpolation modulo a prime
+    (polyq.det_by_interpolation); its value at q = 2 is checked against the
+    integer Bareiss determinant of the matrix specialized at q = 2.
+    """
     if n > GENERIC_DET_BOUND:
         raise ValueError(f"degree bound {GENERIC_DET_BOUND} exceeded")
     _, rows = gram_matrix(n)
-    det = det_exact(rows)
+    det = det_by_interpolation(rows)
+    _, at_two = gram_matrix(n, q=2)
+    if det.evaluate(2) != det_exact(at_two):
+        raise ArithmeticError(f"degree-{n} determinant fails the q = 2 check")
     if det.leading_coefficient() < 0:
         det = -det
     return det
@@ -104,7 +112,9 @@ def degenerate_factors() -> tuple:
 def factor_multiplicity_check(n: int) -> dict:
     """Divide every listed factor out of the degree-n determinant and compare
     with the listed multiplicity; the residual after all listed factors must
-    be the constant 1."""
+    be the constant 1.  The residual is divided only by the listed powers
+    that divide it, so a listed multiplicity above the true one is reported
+    as a failure."""
     det = gram_det(n)
     results = []
     residual = det
@@ -114,9 +124,11 @@ def factor_multiplicity_check(n: int) -> dict:
         results.append(
             {"factor": item["name"], "want": want, "got": got, "ok": got == want}
         )
-        if want:
-            for _ in range(want):
-                residual = residual // item["poly"]
+        for _ in range(want):
+            quot, rem = residual.divmod(item["poly"])
+            if not rem.is_zero():
+                break
+            residual = quot
     factors_palindromic = all(
         item["poly"].is_self_reciprocal()
         for item in degenerate_factors()

@@ -1,12 +1,17 @@
-"""Exact integer polynomials in q and fraction-free linear algebra.
+"""Exact integer polynomials in q and exact linear algebra.
 
 QPoly is a dense, canonical (no trailing zeros) coefficient list over
-arbitrary-precision ints.  The matrix helpers are ring-generic: they work on
-nested lists whose entries support +, -, * and exact //, so the same Bareiss
-elimination serves both ZZ and ZZ[q].
+arbitrary-precision ints.  det_exact is fraction-free Bareiss elimination over
+nested lists whose entries support +, -, * and exact //, so it serves both ZZ
+and ZZ[q].  det_by_interpolation computes the determinant of a QPoly matrix
+without multiplying polynomials: it evaluates the matrix at the points
+0, 1, ..., D modulo a prime above twice a proven coefficient bound, takes each
+determinant by Gaussian elimination mod p, interpolates, and lifts the
+coefficients to the balanced residues.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 
 class QPoly:
@@ -122,15 +127,13 @@ class QPoly:
         d = other.degree()
         lead = other.leading_coefficient()
         quot = [0] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            c, r = divmod(rem[-1], lead)
+        for shift in range(len(quot) - 1, -1, -1):
+            top = rem[shift + d]
+            if top == 0:
+                continue
+            c, r = divmod(top, lead)
             if r != 0:
                 raise ValueError("non-exact leading-coefficient division")
-            shift = len(rem) - 1 - d
             quot[shift] = c
             for i, b in enumerate(other.coeffs):
                 rem[shift + i] -= c * b
@@ -265,21 +268,117 @@ def _is_zero_entry(x) -> bool:
     return x.is_zero() if isinstance(x, QPoly) else x == 0
 
 
-def det_cofactor(matrix):
-    """Naive cofactor expansion, the independent oracle for det_exact."""
+# The prime of det_by_interpolation: the Curve25519 field prime.  It exceeds
+# 2B + 1 for the composition Gram matrices up to degree 6 (B < 2^236).
+DET_PRIME = 2**255 - 19
+
+
+def det_bounds(matrix) -> tuple[int, int]:
+    """(D, B) for a square QPoly matrix A: det A has degree at most D and no
+    coefficient above B in absolute value; (-1, 0) when a row is zero.
+
+    D = sum_i max_j deg a_ij, since each Leibniz term takes one entry per row.
+    On |q| = 1 every entry has |a(q)| <= ||a||_1, the sum of its absolute
+    coefficients, so Hadamard's inequality gives
+    |det A(q)| <= prod_i sqrt(sum_j ||a_ij||_1^2) <= B with
+    B = prod_i ceil(sqrt(sum_j ||a_ij||_1^2)).  The coefficients of det A are
+    its Fourier coefficients on the unit circle, so Cauchy's estimate bounds
+    each of them by B.
+    """
+    degree, bound = 0, 1
+    for row in matrix:
+        norms = [sum(abs(c) for c in e.coeffs) for e in row]
+        square = sum(x * x for x in norms)
+        if square == 0:
+            return -1, 0
+        degree += max(e.degree() for e in row)
+        bound *= isqrt(square - 1) + 1
+    return degree, bound
+
+
+def det_by_interpolation(matrix) -> QPoly:
+    """Exact determinant of a square matrix of QPoly entries, with no
+    polynomial products.
+
+    With (D, B) from det_bounds and p = DET_PRIME > 2B + 1, the matrix is
+    evaluated at x = 0, 1, ..., D modulo p, one point at a time, and each
+    determinant is taken by Gaussian elimination mod p.  Newton interpolation
+    gives det A mod p; since every coefficient lies in [-B, B], the balanced
+    residues are the coefficients themselves.
+    """
     n = len(matrix)
-    if n == 0:
-        return 1
-    if n == 1:
-        return matrix[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    rows = [[_coerce(e) for e in row] for row in matrix]
+    degree, bound = det_bounds(rows)
+    if bound == 0:
+        return QPoly()
+    p = DET_PRIME
+    # Soundness: the balanced lift needs p > 2B + 1, and the D + 1 points
+    # must stay distinct mod p.
+    if not (p > 2 * bound + 1 and p > degree):
+        raise ValueError(f"coefficient bound 2^{bound.bit_length()} is too "
+                         "large for DET_PRIME")
+    # Each distinct entry is evaluated once per point.
+    index = {}
+    layout = [[index.setdefault(e, len(index)) for e in row] for row in rows]
+    entries = list(index)
+    values = []
+    for x in range(degree + 1):
+        at = [e.evaluate(x) % p for e in entries]
+        values.append(_det_mod([[at[i] for i in row] for row in layout], p))
+    half = p // 2
+    return QPoly([c - p if c > half else c for c in _interpolate(values, p)])
+
+
+def _det_mod(m, p: int) -> int:
+    """Determinant mod p of an integer matrix, destroying it.
+
+    Reduction is lazy: the pivot row and the multipliers are reduced mod p,
+    so each update a - f*b adds less than p^2 to an entry, and the trailing
+    block is left unreduced.
+    """
+    n = len(m)
+    det = 1
+    for k in range(n):
+        col = [m[i][k] % p for i in range(k, n)]
+        piv = next((i for i, v in enumerate(col) if v), None)
+        if piv is None:
+            return 0
+        if piv:
+            m[k], m[k + piv] = m[k + piv], m[k]
+            col[0], col[piv] = col[piv], col[0]
+            det = -det
+        det = det * col[0] % p
+        inv = pow(col[0], -1, p)
+        pivot_tail = [x * inv % p for x in m[k][k + 1:]]
+        for i in range(k + 1, n):
+            f = col[i - k]
+            if f:
+                row = m[i]
+                row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], pivot_tail)]
+    return det % p
+
+
+def _interpolate(values, p: int) -> list[int]:
+    """Coefficients mod p, constant term first, of the polynomial of degree
+    below len(values) that takes values[x] at x = 0, 1, ...
+
+    Newton divided differences on consecutive nodes divide by k at level k;
+    Horner's rule in the Newton basis then expands the product form.
+    """
+    c = list(values)
+    d = len(c)
+    for k in range(1, d):
+        inv = pow(k, -1, p)
+        for j in range(d - 1, k - 1, -1):
+            c[j] = (c[j] - c[j - 1]) * inv % p
+    poly = []
+    for k in range(d - 1, -1, -1):
+        # poly <- poly * (x - k) + c[k]
+        poly = [(lo - k * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + c[k]) % p
+    return poly
 
 
 def rank_exact(matrix) -> int:
@@ -334,24 +433,6 @@ def unimodular_inverse(matrix) -> list[list[int]]:
     if any(x.denominator != 1 for row in inv for x in row):
         raise ValueError("inverse is not integral")
     return [[int(x) for x in row] for row in inv]
-
-
-def solve_rational(matrix, rhs) -> list[Fraction]:
-    """Solve a nonsingular rational linear system exactly."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n] for row in aug]
 
 
 def kernel_basis(matrix) -> list[list[Fraction]]:

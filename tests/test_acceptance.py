@@ -5,7 +5,6 @@ Golden tables are hand-transcribed reference data; no value here was
 computed by the code under test.
 """
 
-import os
 import time
 from itertools import product
 
@@ -355,26 +354,20 @@ def test_criterion_8_two_route_normal_forms():
 
 def test_criterion_9_determinant_analysis():
     t0 = time.perf_counter()
-    for n in range(2, 6):
+    for n in range(2, 7):
         check = gramdet.det_degree_check(n)
         assert check["ok"], check
-    for n in range(2, 5):
+    for n in range(2, 7):
         fac = gramdet.factor_multiplicity_check(n)
         assert fac["ok"], fac
     n4 = {f["factor"]: f["got"] for f in gramdet.factor_multiplicity_check(4)["factors"]}
     assert n4["q"] == 17 and n4["q-1"] == 4 and n4["q+1"] == 4
     assert n4["q^6+2q^4-q^3+2q^2+1"] == 1
     assert 17 + 4 + 4 + 6 == gramdet.det_degree_formula(4)
-    if os.environ.get("ODDSYM_N5"):
-        fac5 = gramdet.factor_multiplicity_check(5)
-        assert fac5["ok"], fac5
-        n5 = {f["factor"]: f["got"] for f in fac5["factors"]}
-        assert n5["degree-18 palindromic"] == 1
-        extra = " incl. degree-5 factor sweep"
-    else:
-        extra = " (degree-5 factor sweep skipped; set ODDSYM_N5=1)"
+    n5 = {f["factor"]: f["got"] for f in gramdet.factor_multiplicity_check(5)["factors"]}
+    assert n5["degree-18 palindromic"] == 1
     report(9, time.perf_counter() - t0, 300.0,
-           "determinant degrees 2..5 and multiplicities 2..4" + extra)
+           "determinant degrees 2..6 and multiplicities 2..6")
 
 
 # --------------------------------------------------------------------------

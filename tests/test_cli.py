@@ -141,6 +141,20 @@ class TestExitCodes:
             main(["rsk", "--matrix", "[[1]]", "--verify", "2"])
         assert exc.value.code == 2
 
+    def test_det_overstated_multiplicity_is_a_failure(self, monkeypatch, capsys):
+        from oddsym import gramdet
+
+        patched = tuple(
+            dict(f, multiplicities={**f["multiplicities"], 3: 6})
+            if f["name"] == "q" else f
+            for f in gramdet.degenerate_factors()
+        )
+        monkeypatch.setattr(gramdet, "degenerate_factors", lambda: patched)
+        assert main(["det", "--degree", "3", "--factors"]) == 1
+        out = capsys.readouterr().out
+        assert "q: multiplicity 5 (listed 6) FAIL" in out
+        assert json.loads(out.splitlines()[-1])["factors"]["ok"] is False
+
     def test_det_degree_bound(self):
         with pytest.raises(SystemExit) as exc:
             main(["det", "--degree", "9"])

@@ -1,7 +1,6 @@
-import os
-
 import pytest
 
+from oddsym import gramdet
 from oddsym.combinat import partitions_of
 from oddsym.form import pair_words_odd, h_word
 from oddsym.gramdet import (
@@ -83,7 +82,7 @@ class TestDeterminant:
     def test_degree_two_det(self):
         assert gram_det(2) == QPoly((0, 1))
 
-    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_degree_check(self, n):
         report = det_degree_check(n)
         assert report["ok"], report
@@ -93,13 +92,19 @@ class TestDeterminant:
         # determinant of the specialized matrix
         from oddsym.polyq import det_exact
 
-        for n in range(2, 6):
+        for n in range(2, 7):
             _, rows = gram_matrix(n, q=2)
             assert gram_det(n).evaluate(2) in (det_exact(rows), -det_exact(rows))
 
     def test_bound(self):
         with pytest.raises(ValueError):
             gram_det(7)
+
+    def test_q_two_cross_check_rejects_a_wrong_determinant(self, monkeypatch):
+        wrong = gram_det(3) + QPoly.monomial(2)
+        monkeypatch.setattr(gramdet, "det_by_interpolation", lambda rows: wrong)
+        with pytest.raises(ArithmeticError):
+            gram_det.__wrapped__(3)
 
 
 class TestFactors:
@@ -128,12 +133,34 @@ class TestFactors:
         assert report["ok"], report
         assert report["factors_palindromic"]
 
-    @pytest.mark.skipif(
-        not os.environ.get("ODDSYM_N5"),
-        reason="degree-5 factor sweep is opt-in (set ODDSYM_N5=1)",
-    )
     def test_multiplicities_degree_five(self):
-        assert factor_multiplicity_check(5)["ok"]
+        report = factor_multiplicity_check(5)
+        assert report["ok"], report
+        got = {f["factor"]: f["got"] for f in report["factors"]}
+        assert got["degree-18 palindromic"] == 1
+
+    def test_multiplicities_degree_six(self):
+        report = factor_multiplicity_check(6)
+        assert report["ok"], report
+        assert report["residual"] == "1"
+
+    @pytest.mark.parametrize("excess", [1, 3])
+    def test_overstated_multiplicity_fails(self, monkeypatch, excess):
+        # a listed multiplicity above the true one is a failed check, not a
+        # division error
+        listed = degenerate_factors()
+        patched = tuple(
+            dict(f, multiplicities={**f["multiplicities"],
+                                    3: f["multiplicities"][3] + excess})
+            if f["name"] == "q" else f
+            for f in listed
+        )
+        monkeypatch.setattr(gramdet, "degenerate_factors", lambda: patched)
+        report = factor_multiplicity_check(3)
+        assert not report["ok"]
+        q_row = report["factors"][0]
+        assert (q_row["want"], q_row["got"], q_row["ok"]) == (5 + excess, 5, False)
+        assert report["residual"] == "1"
 
 
 class TestRadicalRank:

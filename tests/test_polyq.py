@@ -5,8 +5,11 @@ import pytest
 from oddsym.polyq import (
     ONE,
     Q,
+    DET_PRIME,
     QPoly,
-    det_cofactor,
+    ZERO,
+    det_bounds,
+    det_by_interpolation,
     det_exact,
     divide_out,
     kernel_basis,
@@ -19,6 +22,41 @@ from oddsym.polyq import (
 
 def rand_poly(rng, max_deg=4, span=5):
     return QPoly([rng.randint(-span, span) for _ in range(rng.randint(0, max_deg + 1))])
+
+
+def det_cofactor(matrix):
+    """Naive cofactor expansion, the independent oracle for det_exact."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    if n == 1:
+        return matrix[0][0]
+    total = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = matrix[0][j] * det_cofactor(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def is_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+    """Miller-Rabin to the given bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestQPoly:
@@ -108,6 +146,65 @@ class TestDeterminants:
 
     def test_singular(self):
         assert det_exact([[1, 2], [2, 4]]) == 0
+
+
+class TestInterpolation:
+    """det_by_interpolation against the Bareiss and cofactor oracles."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_gram_matrices_match_bareiss(self, n):
+        from oddsym.gramdet import gram_matrix
+
+        _, rows = gram_matrix(n)
+        assert det_by_interpolation(rows).coeffs == det_exact(rows).coeffs
+
+    def test_random_matrices_match_oracles(self):
+        rng = random.Random(31)
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            m = [[rand_poly(rng, 3, 6) for _ in range(n)] for _ in range(n)]
+            got = det_by_interpolation(m)
+            assert got == det_exact(m)
+            assert got == det_cofactor(m)
+
+    def test_singular_and_rank_deficient(self):
+        p = QPoly((1, -2, 3))
+        assert det_by_interpolation([[p, p * Q], [Q, Q * Q]]) == ZERO
+        assert det_by_interpolation([[p, ONE], [ZERO, ZERO]]) == ZERO
+
+    def test_edge_shapes(self):
+        assert det_by_interpolation([]) == ONE
+        assert det_by_interpolation([[3]]) == QPoly((3,))
+        with pytest.raises(ValueError):
+            det_by_interpolation([[ONE, ONE]])
+
+    def test_negative_coefficients_at_the_bound(self):
+        # det = -(B) exactly at the coefficient bound: the balanced lift
+        # must return the negative value, not p - B
+        big = 10**12
+        m = [[ZERO, QPoly((big,))], [QPoly((big,)), ZERO]]
+        assert det_bounds(m) == (0, big * big)
+        assert det_by_interpolation(m) == QPoly((-(big * big),))
+
+    def test_bound_beyond_the_prime(self):
+        assert det_by_interpolation([[QPoly((-(2**253),))]]) == QPoly((-(2**253),))
+        with pytest.raises(ValueError):
+            det_by_interpolation([[QPoly((2**254,))]])
+
+    def test_prime_is_prime(self):
+        assert is_probable_prime(DET_PRIME)
+        assert not is_probable_prime(561)
+        assert not is_probable_prime((2**61 - 1) * (2**127 - 1))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bounds_on_gram_matrices(self, n):
+        from oddsym.gramdet import det_degree_formula, gram_det, gram_matrix
+
+        _, rows = gram_matrix(n)
+        degree, bound = det_bounds(rows)
+        det = gram_det(n)
+        assert degree == det_degree_formula(n) == det.degree()
+        assert bound > max(abs(c) for c in det.coeffs)
 
 
 class TestUnimodular:
