@@ -1,18 +1,16 @@
 """Monomial, forgotten and Schur bases, signed Kostka numbers, and the
 change-of-basis matrices between the h/e families and their duals.
 
-Basis matrices come from direct signed enumeration of margin matrices; the
-bilinear-form route in form.py is an independent computation, and tests
-compare the two.
+The (e,h), (h,h) and (e,e) tables are values of the q = -1 form, read off
+the memoized colored pairing in form.py.  Their signed margin-matrix counts
+are a combinatorial interpretation of the same numbers and live in the
+tests as an oracle.
 """
 
 from functools import lru_cache
 
 from . import form, oddring
 from .combinat import (
-    cable_sign,
-    matrices_with_margins,
-    matrix_sign,
     partitions_of,
     shape_sign,
     ssyt,
@@ -49,20 +47,14 @@ def kostka_matrix(n: int):
     return parts, rows
 
 
-BASIS_MATRIX_KINDS = {
-    "eh": lambda m: matrix_sign(m),  # {0,1}-matrices
-    "hh": lambda m: matrix_sign(m),  # N-matrices
-    "ee": lambda m: matrix_sign(m) * cable_sign(m),  # N-matrices with cables
-}
+_WORDS = {"e": form.e_word, "h": form.h_word}
 
 
 def basis_matrix_entry(kind: str, lam, mu) -> int:
-    """Single entry by direct signed enumeration of margin matrices."""
-    if kind not in BASIS_MATRIX_KINDS:
+    """(x_lam, y_mu) at q = -1 for kind "xy", one of "eh", "hh", "ee"."""
+    if kind not in ("eh", "hh", "ee"):
         raise ValueError(f"unknown kind {kind!r}")
-    signer = BASIS_MATRIX_KINDS[kind]
-    mats = matrices_with_margins(lam, mu, zero_one=(kind == "eh"))
-    return sum(signer(m) for m in mats)
+    return form.pair_words_odd(_WORDS[kind[0]](lam), _WORDS[kind[1]](mu))
 
 
 @lru_cache(maxsize=None)
@@ -79,17 +71,11 @@ def basis_matrix(kind: str, n: int):
 # dual bases
 
 
-@lru_cache(maxsize=None)
-def _monomial_table(n: int):
-    parts = partitions_of(n)
-    inv = unimodular_inverse([list(r) for r in basis_matrix("hh", n)[1]])
-    return parts, tuple(map(tuple, inv))
-
-
 def monomial(mu) -> OddElt:
-    """Dual basis vector to h_mu: (h_lam, m_mu) = delta."""
+    """Dual basis vector to h_mu: (h_lam, m_mu) = delta, a row of the
+    inverse (h,h) Gram matrix."""
     mu = tuple(mu)
-    parts, inv = _monomial_table(sum(mu))
+    parts, inv = partitions_of(sum(mu)), oddring.gram_h_inverse(sum(mu))
     i = parts.index(mu)
     return OddElt({parts[j]: inv[i][j] for j in range(len(parts))})
 

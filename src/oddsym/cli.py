@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bases, form, gramdet, hopf, oddring
-from .combinat import partitions_of
+from .combinat import is_partition, partitions_of
 from .polyq import QPoly
 from .rsk import rsk as rsk_map
 from .rsk import rsk_verify_degree
@@ -54,6 +54,22 @@ def parse_colored(text: str):
             raise ValueError(f"letter subscripts must be positive: {text!r}")
         word.append((n, color))
     return tuple(word)
+
+
+def parse_matrix(text: str) -> list[list[int]]:
+    """JSON list of equal-length rows of non-negative integers."""
+    matrix = json.loads(text)
+    if (
+        not isinstance(matrix, list)
+        or not matrix
+        or any(not isinstance(r, list) or len(r) != len(matrix[0]) for r in matrix)
+        or any(type(x) is not int or x < 0 for r in matrix for x in r)
+    ):
+        raise ValueError(
+            "matrix must be a JSON list of equal-length rows with non-negative "
+            "integer entries"
+        )
+    return matrix
 
 
 def fmt_parts(parts) -> str:
@@ -132,12 +148,12 @@ def cmd_pair(args) -> int:
         left, right = mk(parse_parts(args.left)), mk(parse_parts(args.right))
     if q == "generic":
         value = form.pair_words_generic(left, right)
-        shown = str(value)
         payload = list(value.coeffs)
+    elif int(q) == -1:
+        value = payload = form.pair_words_odd(left, right)
     else:
-        value = form.pair_words_generic(left, right).evaluate(int(q))
-        shown = str(value)
-        payload = value
+        value = payload = form.pair_words_generic(left, right).evaluate(int(q))
+    shown = str(value)
     if args.format == "json":
         print(json.dumps({"left": args.left, "right": args.right, "q": q,
                           "value": payload}))
@@ -167,6 +183,9 @@ def cmd_expand(args) -> int:
     }
     if what == "p" and len(index) != 1:
         raise ValueError("power sums are indexed by a single integer")
+    if what in ("m", "f", "s") and not is_partition(index):
+        raise ValueError(f"{what} is indexed by a partition (weakly decreasing "
+                         f"parts): {args.index!r}")
     elt = makers[what](index)
     terms = elt.terms if args.in_basis == "h" else oddring.e_coordinates(elt)
     emit_expansion(args, f"{what}({fmt_parts(index)})", terms,
@@ -215,9 +234,7 @@ def cmd_rsk(args) -> int:
                 print(json.dumps(bad[0]))
             return 1
         return 0
-    matrix = json.loads(args.matrix)
-    if not matrix or any(not isinstance(r, list) for r in matrix):
-        raise ValueError("matrix must be a JSON list of rows")
+    matrix = parse_matrix(args.matrix)
     pair = rsk_map(matrix)
     from .combinat import matrix_sign, shape_sign
 

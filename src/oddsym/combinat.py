@@ -5,7 +5,6 @@ weakly decreasing).  Everything here is immutable and pure.
 """
 
 from functools import lru_cache
-from itertools import permutations
 
 
 # ---------------------------------------------------------------------------
@@ -17,10 +16,6 @@ def is_partition(seq) -> bool:
     return all(p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
-
-
-def is_composition(seq) -> bool:
-    return all(p >= 1 for p in seq)
 
 
 @lru_cache(maxsize=None)
@@ -316,18 +311,3 @@ def matrix_inv(matrix) -> int:
 
 def matrix_sign(matrix) -> int:
     return -1 if matrix_inv(matrix) % 2 else 1
-
-
-def cable_sign(matrix) -> int:
-    """Product over entries a of (-1)^T(a-1)."""
-    total = sum(triangular(a - 1) for row in matrix for a in row if a >= 1)
-    return -1 if total % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# misc enumeration helpers
-
-
-def permutations_of_degree(n: int):
-    """All of S_n as one-line tuples on 1..n."""
-    return permutations(range(1, n + 1))

@@ -110,25 +110,24 @@ def degenerate_factors() -> tuple:
 
 
 def factor_multiplicity_check(n: int) -> dict:
-    """Divide every listed factor out of the degree-n determinant and compare
-    with the listed multiplicity; the residual after all listed factors must
-    be the constant 1.  The residual is divided only by the listed powers
-    that divide it, so a listed multiplicity above the true one is reported
-    as a failure."""
-    det = gram_det(n)
+    """Divide each listed factor out of the running residual, starting from
+    the degree-n determinant, and compare its multiplicity with the listed
+    one; the residual after all listed factors must be the constant 1.
+
+    The listed factors are pairwise coprime, so a factor's multiplicity in
+    the residual is its multiplicity in the determinant.  Powers beyond the
+    listed multiplicity stay in the residual, so a listed multiplicity above
+    or below the true one is reported as a failure."""
     results = []
-    residual = det
+    residual = gram_det(n)
     for item in degenerate_factors():
         want = item["multiplicities"].get(n, 0)
-        got, _ = divide_out(det, item["poly"])
+        got, residual = divide_out(residual, item["poly"])
         results.append(
             {"factor": item["name"], "want": want, "got": got, "ok": got == want}
         )
-        for _ in range(want):
-            quot, rem = residual.divmod(item["poly"])
-            if not rem.is_zero():
-                break
-            residual = quot
+        if got > want:
+            residual = residual * item["poly"] ** (got - want)
     factors_palindromic = all(
         item["poly"].is_self_reciprocal()
         for item in degenerate_factors()

@@ -56,7 +56,7 @@ def antipode(x: OddElt) -> OddElt:
     out = OddElt.zero()
     for lam, c in x.terms.items():
         sign = -1 if triangular_sum((sum(lam),)) % 2 else 1
-        out = out + _e_word_elt(tuple(reversed(lam))).scale(sign * c)
+        out = out + e_elt(tuple(reversed(lam))).scale(sign * c)
     return out
 
 
@@ -172,22 +172,15 @@ def antipode_images_check(n: int) -> dict:
             ("ost_h", omega_sign_twist(h_elt(lam)), e_elt(lam).scale(sign)),
             ("ost_e", omega_sign_twist(e_elt(lam)), h_elt(lam).scale(sign)),
             ("composite_h", omega_sign_twist_reverse(h_elt(lam)),
-             _e_word_elt(rev).scale(sign)),
+             e_elt(rev).scale(sign)),
             ("composite_e", omega_sign_twist_reverse(e_elt(lam)),
              oddring.normalize(rev).scale(sign)),
-            ("antipode_h", antipode(h_elt(lam)), _e_word_elt(rev).scale(total_sign)),
+            ("antipode_h", antipode(h_elt(lam)), e_elt(rev).scale(total_sign)),
         ]
         for name, got, want in pairs:
             if got != want:
                 failures.append({"lambda": lam, "relation": name})
     return {"degree": n, "ok": not failures, "failures": failures}
-
-
-def _e_word_elt(word) -> OddElt:
-    out = OddElt.one()
-    for n in word:
-        out = out * oddring.e_letter(n)
-    return out
 
 
 def generating_function_check(n: int) -> dict:
@@ -297,10 +290,6 @@ def primitives(n: int) -> tuple[OddElt, ...]:
     return tuple(out)
 
 
-def power_sum(n: int) -> OddElt:
-    return bases.power_sum(n)
-
-
 def is_primitive(x: OddElt) -> bool:
     delta = coproduct(x)
     expected: dict = {}
@@ -316,7 +305,7 @@ def centrality_check(k: int, bound: int) -> dict:
     All vanish iff k is even; for odd k the first nonzero commutator is
     reported as a witness.
     """
-    p = power_sum(k)
+    p = bases.power_sum(k)
     witnesses = []
     for m in range(1, bound - k + 1):
         h = h_elt((m,))

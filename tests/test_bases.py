@@ -21,6 +21,8 @@ from oddsym.combinat import partitions_of, shape_sign, transpose, triangular_sum
 from oddsym.form import e_word, h_word, pair_h_at, pair_words_odd
 from oddsym.oddring import OddElt, e_elt, e_letter, h_elt, pair
 
+from oracles import basis_matrix_entry_by_enumeration
+
 
 class TestKostka:
     def test_reference_values(self):
@@ -53,25 +55,29 @@ class TestKostka:
 
 class TestBasisMatrices:
     def test_reference_entries(self):
-        assert basis_matrix_entry("eh", (3, 2), (2, 2, 1)) == -1
-        assert basis_matrix_entry("hh", (3, 2), (2, 2, 1)) == 3
-        assert basis_matrix_entry("ee", (3, 2), (2, 2, 1)) == -1
+        for entry in (basis_matrix_entry, basis_matrix_entry_by_enumeration):
+            assert entry("eh", (3, 2), (2, 2, 1)) == -1
+            assert entry("hh", (3, 2), (2, 2, 1)) == 3
+            assert entry("ee", (3, 2), (2, 2, 1)) == -1
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             basis_matrix_entry("xy", (1,), (1,))
 
     def test_matches_pairing_route(self):
-        # direct signed enumeration against the memoized bilinear form
+        # signed margin-matrix enumeration against the memoized colored form
         for n in range(1, 7):
-            parts, eh = basis_matrix("eh", n)
+            parts = partitions_of(n)
+            for kind in ("eh", "hh", "ee"):
+                _, rows = basis_matrix(kind, n)
+                for i, lam in enumerate(parts):
+                    for j, mu in enumerate(parts):
+                        want = basis_matrix_entry_by_enumeration(kind, lam, mu)
+                        assert rows[i][j] == want, (kind, lam, mu)
             _, hh = basis_matrix("hh", n)
-            _, ee = basis_matrix("ee", n)
             for i, lam in enumerate(parts):
                 for j, mu in enumerate(parts):
                     assert hh[i][j] == pair_h_at(lam, mu, -1)
-                    assert eh[i][j] == pair_words_odd(e_word(lam), h_word(mu))
-                    assert ee[i][j] == pair_words_odd(e_word(lam), e_word(mu))
 
     def test_symmetry_of_hh_and_ee(self):
         for n in range(1, 7):
@@ -148,6 +154,15 @@ class TestDualBases:
                 for mu in parts:
                     assert pair(hl, ms[mu]) == (1 if lam == mu else 0)
                     assert pair(el, fs[mu]) == (1 if lam == mu else 0)
+
+    def test_single_row_duals_degree_nine(self):
+        # (h_lam, m_9) = (e_lam, f_9) = delta under the colored pairing
+        m9 = {h_word(p): c for p, c in monomial((9,)).terms.items()}
+        f9 = {h_word(p): c for p, c in forgotten((9,)).terms.items()}
+        for lam in partitions_of(9):
+            want = 1 if lam == (9,) else 0
+            assert pair_words_odd(h_word(lam), m9) == want, lam
+            assert pair_words_odd(e_word(lam), f9) == want, lam
 
     def test_power_sum_is_single_row_monomial(self):
         for n in range(1, 9):

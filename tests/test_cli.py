@@ -1,8 +1,15 @@
 import json
+import random
 
 import pytest
 
+from oddsym import form
 from oddsym.cli import main, parse_colored, parse_parts
+
+
+def random_composition(rng, n):
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
 
 
 class TestParsing:
@@ -41,6 +48,32 @@ class TestCommands:
         assert main(["pair", "--basis", "e", "--left", "3", "--right", "3",
                      "--q", "-1"]) == 0
         assert capsys.readouterr().out.strip() == "-1"
+
+    def test_pair_at_minus_one_matches_generic_route(self, capsys):
+        # --q -1 takes the colored q = -1 rule; the expansion of e-letters
+        # into h-words, evaluated at -1, is the oracle
+        rng = random.Random(20110728)
+        for basis in ("e", "mixed"):
+            for _ in range(30):
+                n = rng.randint(1, 5)
+                left, right = (
+                    tuple((p, form.E if basis == "e" else rng.choice((form.E, form.H)))
+                          for p in random_composition(rng, n))
+                    for _ in range(2)
+                )
+                texts = [",".join(str(p) if basis == "e" else c + str(p) for p, c in w)
+                         for w in (left, right)]
+                assert main(["pair", "--basis", basis, "--left", texts[0],
+                             "--right", texts[1], "--q", "-1"]) == 0
+                want = form.pair_words_generic(left, right).evaluate(-1)
+                assert int(capsys.readouterr().out) == want, texts
+
+    def test_pair_e_basis_degree_fourteen(self, capsys):
+        # each e_7 expands into 64 h-words, so the generic route would pair
+        # 64^4 word pairs; the colored rule answers directly
+        assert main(["pair", "--basis", "e", "--left", "7,7", "--right", "7,7",
+                     "--q", "-1"]) == 0
+        assert capsys.readouterr().out.strip() == "0"
 
     def test_pair_json(self, capsys):
         assert main(["pair", "--left", "2", "--right", "2", "--format", "json"]) == 0
@@ -169,6 +202,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["rsk", "--matrix", "[[1,"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "matrix", ["[[1.5,0]]", '[["a"]]', "[[1],[0,1]]", "[[true]]", "[[-1]]",
+                   "5", "[]"])
+    def test_rsk_matrix_contract(self, capsys, matrix):
+        with pytest.raises(SystemExit) as exc:
+            main(["rsk", "--matrix", matrix])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("what", ["m", "f", "s"])
+    def test_expand_index_must_be_a_partition(self, capsys, what):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--what", what, "--index", "3,4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "indexed by a partition" in err and err.count("\n") == 1
 
     def test_htilde_e_basis_rejected(self):
         with pytest.raises(SystemExit) as exc:

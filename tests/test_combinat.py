@@ -2,7 +2,6 @@ import pytest
 
 from oddsym.combinat import (
     Tableau,
-    cable_sign,
     compositions_of,
     dominates,
     inversions,
@@ -20,6 +19,8 @@ from oddsym.combinat import (
     triangular_sum,
     word_sign,
 )
+
+from oracles import cable_sign
 
 
 def partition_count(n, max_part=None):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from oddsym import gramdet
@@ -144,23 +146,59 @@ class TestFactors:
         assert report["ok"], report
         assert report["residual"] == "1"
 
+    @staticmethod
+    def list_q_multiplicity(monkeypatch, n, listed):
+        patched = tuple(
+            dict(f, multiplicities={**f["multiplicities"], n: listed})
+            if f["name"] == "q" else f
+            for f in degenerate_factors()
+        )
+        monkeypatch.setattr(gramdet, "degenerate_factors", lambda: patched)
+
     @pytest.mark.parametrize("excess", [1, 3])
     def test_overstated_multiplicity_fails(self, monkeypatch, excess):
         # a listed multiplicity above the true one is a failed check, not a
         # division error
-        listed = degenerate_factors()
-        patched = tuple(
-            dict(f, multiplicities={**f["multiplicities"],
-                                    3: f["multiplicities"][3] + excess})
-            if f["name"] == "q" else f
-            for f in listed
-        )
-        monkeypatch.setattr(gramdet, "degenerate_factors", lambda: patched)
+        self.list_q_multiplicity(monkeypatch, 3, 5 + excess)
         report = factor_multiplicity_check(3)
         assert not report["ok"]
         q_row = report["factors"][0]
         assert (q_row["want"], q_row["got"], q_row["ok"]) == (5 + excess, 5, False)
         assert report["residual"] == "1"
+
+    @pytest.mark.parametrize("deficit", [1, 3])
+    def test_understated_multiplicity_fails(self, monkeypatch, deficit):
+        # the powers beyond the listed multiplicity stay in the residual
+        self.list_q_multiplicity(monkeypatch, 3, 5 - deficit)
+        report = factor_multiplicity_check(3)
+        assert not report["ok"]
+        q_row = report["factors"][0]
+        assert (q_row["want"], q_row["got"], q_row["ok"]) == (5 - deficit, 5, False)
+        assert report["residual"] == str(QPoly.monomial(deficit))
+
+    def test_listed_factors_pairwise_coprime(self):
+        # factor_multiplicity_check divides each factor out of the running
+        # residual; that gives the multiplicity in the determinant only
+        # because no two listed factors share a root
+        factors = degenerate_factors()
+        for i, f in enumerate(factors):
+            for g in factors[i + 1:]:
+                assert gcd_degree(f["poly"], g["poly"]) == 0, (f["name"], g["name"])
+
+
+def gcd_degree(f: QPoly, g: QPoly) -> int:
+    """Degree of gcd(f, g) over the rationals, by Euclid's algorithm."""
+    a = [Fraction(c) for c in f.coeffs]
+    b = [Fraction(c) for c in g.coeffs]
+    while b:
+        while a and len(a) >= len(b):
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, x in enumerate(b):
+                a[shift + i] -= c * x
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 class TestRadicalRank:
