@@ -19,7 +19,7 @@ from .combinat import (
     transpose,
     triangular_sum,
 )
-from .oddring import OddElt
+from .oddring import OddElt, linear_combination
 from .polyq import det_exact, unimodular_inverse
 
 
@@ -71,49 +71,40 @@ def basis_matrix(kind: str, n: int):
 # dual bases
 
 
+def _row(table, mu):
+    """Row mu of a table over the partitions of |mu|, as (partition, entry)
+    pairs."""
+    parts = partitions_of(sum(mu))
+    return zip(parts, table[parts.index(tuple(mu))])
+
+
 def monomial(mu) -> OddElt:
     """Dual basis vector to h_mu: (h_lam, m_mu) = delta, a row of the
     inverse (h,h) Gram matrix."""
-    mu = tuple(mu)
-    parts, inv = partitions_of(sum(mu)), oddring.gram_h_inverse(sum(mu))
-    i = parts.index(mu)
-    return OddElt({parts[j]: inv[i][j] for j in range(len(parts))})
+    return OddElt(dict(_row(oddring.gram_h_inverse(sum(mu)), mu)))
 
 
 @lru_cache(maxsize=None)
 def _forgotten_table(n: int):
-    parts = partitions_of(n)
-    inv = unimodular_inverse([list(r) for r in basis_matrix("ee", n)[1]])
-    return parts, tuple(map(tuple, inv))
+    return tuple(map(tuple, unimodular_inverse(basis_matrix("ee", n)[1])))
 
 
 def forgotten(mu) -> OddElt:
     """Dual basis vector to e_mu: (e_lam, f_mu) = delta."""
-    mu = tuple(mu)
-    parts, inv = _forgotten_table(sum(mu))
-    i = parts.index(mu)
-    out = OddElt.zero()
-    for j, lam in enumerate(parts):
-        if inv[i][j]:
-            out = out + oddring.e_elt(lam).scale(inv[i][j])
-    return out
+    return linear_combination(
+        (c, oddring.e_elt(lam)) for lam, c in _row(_forgotten_table(sum(mu)), mu) if c
+    )
 
 
 @lru_cache(maxsize=None)
 def _schur_table(n: int):
     """Schur vectors in h-coordinates: invert the unitriangular transpose of
     the Kostka matrix (h_mu = sum_lam K[lam][mu] s_lam)."""
-    parts, K = kostka_matrix(n)
-    KT = [[K[lam][mu] for lam in range(len(parts))] for mu in range(len(parts))]
-    inv = unimodular_inverse(KT)
-    return parts, tuple(map(tuple, inv))
+    return tuple(map(tuple, unimodular_inverse(list(zip(*kostka_matrix(n)[1])))))
 
 
 def schur(lam) -> OddElt:
-    lam = tuple(lam)
-    parts, inv = _schur_table(sum(lam))
-    i = parts.index(lam)
-    return OddElt({parts[j]: inv[i][j] for j in range(len(parts))})
+    return OddElt(dict(_row(_schur_table(sum(lam)), lam)))
 
 
 def power_sum(n: int) -> OddElt:
@@ -151,11 +142,9 @@ def schur_alt_routes(lam) -> dict:
     checks = {}
 
     # route 1: shape_sign(lam) * s_lam = sum_mu K[lam][mu] m_mu
-    via_m = OddElt.zero()
-    for mu in parts:
-        c = kostka(lam, mu)
-        if c:
-            via_m = via_m + monomial(mu).scale(c)
+    via_m = linear_combination(
+        (c, monomial(mu)) for mu in parts if (c := kostka(lam, mu))
+    )
     checks["monomial_route"] = via_m == s.scale(shape_sign(lam))
 
     # route 2: s'_lam = (-1)^(l(w)+T(lam^T)+|lam|) s_lam has e-leading term
@@ -175,21 +164,18 @@ def schur_alt_routes(lam) -> dict:
     # route 3: (-1)^T(mu) e_mu = sum_lam (-1)^(l(w_lam)+|lam|) K[lam^T][mu] s_lam
     mu = lam
     lhs = oddring.e_elt(mu).scale((-1) ** (triangular_sum(mu) % 2))
-    rhs = OddElt.zero()
-    for rho in parts:
-        c = kostka(transpose(rho), mu)
-        if c:
-            sign = (-1) ** ((sw_ne_pairs(rho) + n) % 2)
-            rhs = rhs + schur(rho).scale(sign * c)
+    rhs = linear_combination(
+        ((-1) ** ((sw_ne_pairs(rho) + n) % 2) * c, schur(rho))
+        for rho in parts if (c := kostka(transpose(rho), mu))
+    )
     checks["twisted_e_route"] = lhs == rhs
 
     # route 4: (-1)^(l(w)+T(lam^T)) s_lam = sum_mu (-1)^T(mu) K[lam^T][mu] f_mu
     lhs4 = s.scale((-1) ** ((sw + triangular_sum(lt)) % 2))
-    rhs4 = OddElt.zero()
-    for mu in parts:
-        c = kostka(lt, mu)
-        if c:
-            rhs4 = rhs4 + forgotten(mu).scale((-1) ** (triangular_sum(mu) % 2) * c)
+    rhs4 = linear_combination(
+        ((-1) ** (triangular_sum(mu) % 2) * c, forgotten(mu))
+        for mu in parts if (c := kostka(lt, mu))
+    )
     checks["twisted_f_route"] = lhs4 == rhs4
 
     return {"lambda": lam, "ok": all(checks.values()), "checks": checks}
@@ -221,25 +207,3 @@ def transpose_involution_sign(n: int) -> int:
     swaps = sum(1 for lam in partitions_of(n) if transpose(lam) > lam)
     return -1 if swaps % 2 else 1
 
-
-def form_in_forgotten_basis(n: int):
-    """Matrix of the bilinear form in the f-basis, two ways: directly and as
-    M^-1 M' M^-1."""
-    parts = partitions_of(n)
-    fs = {mu: forgotten(mu) for mu in parts}
-    direct = [
-        [oddring.pair(fs[lam], fs[mu]) for mu in parts] for lam in parts
-    ]
-    M = [list(r) for r in basis_matrix("eh", n)[1]]
-    Mp = [list(r) for r in basis_matrix("hh", n)[1]]
-    Minv = unimodular_inverse(M)
-    prod1 = _matmul_int(Minv, Mp)
-    composed = _matmul_int(prod1, Minv)
-    return parts, direct, composed
-
-
-def _matmul_int(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)
-    ]

@@ -139,17 +139,24 @@ def emit_expansion(args, name: str, terms: dict, letter: str) -> None:
 # subcommands
 
 
+def _pair_words(args):
+    if args.basis == "mixed":
+        return parse_colored(args.left), parse_colored(args.right)
+    mk = form.e_word if args.basis == "e" else form.h_word
+    return mk(parse_parts(args.left)), mk(parse_parts(args.right))
+
+
+def _at_minus_one(args) -> bool:
+    return args.q != "generic" and int(args.q) == -1
+
+
 def cmd_pair(args) -> int:
     q = args.q
-    if args.basis == "mixed":
-        left, right = parse_colored(args.left), parse_colored(args.right)
-    else:
-        mk = form.e_word if args.basis == "e" else form.h_word
-        left, right = mk(parse_parts(args.left)), mk(parse_parts(args.right))
+    left, right = _pair_words(args)
     if q == "generic":
         value = form.pair_words_generic(left, right)
         payload = list(value.coeffs)
-    elif int(q) == -1:
+    elif _at_minus_one(args):
         value = payload = form.pair_words_odd(left, right)
     else:
         value = payload = form.pair_words_generic(left, right).evaluate(int(q))
@@ -214,6 +221,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_rsk(args) -> int:
+    if (args.matrix is None) == (args.verify is None):
+        raise ValueError("pass exactly one of --matrix or --verify")
     if args.verify is not None:
         report = rsk_verify_degree(args.verify)
         if args.format == "json":
@@ -509,26 +518,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-BOUNDS = {"kostka": 8, "gram": 8, "det": (2, gramdet.GENERIC_DET_BOUND), "rsk": 7}
+def _pair_stat(odd: bool, stat):
+    return lambda a: stat(_pair_words(a)) if _at_minus_one(a) == odd else None
+
+
+def _degree(words) -> int:
+    return max(map(form.word_degree, words))
+
+
+def _expansion_log2(words) -> int:
+    """log2 of the h-word pairs that the generic route expands the words
+    into: e_n has 2^(n-1) h-words."""
+    return sum(n - 1 for word in words for n, c in word if c == form.E)
+
+
+def _matrix_stat(stat):
+    return lambda a: None if a.matrix is None else stat(parse_matrix(a.matrix))
+
+
+VERIFY_MAX_DEGREE = {"hopf": 9, "schur": 8, "rsk": 7, "semiorth": 10,
+                     "primitives": 10, "all": 7}
+
+# Every subcommand's sized inputs as (what, reader, lowest, highest), each
+# bound keeping the answer within seconds.  A reader takes the parsed
+# arguments and returns None where its bound does not apply.
+BOUNDS = {
+    "pair": (
+        ("word degree at q = -1", _pair_stat(True, _degree), 0, 16),
+        ("word degree", _pair_stat(False, _degree), 0, 10),
+        ("log2 of the e-letter expansion", _pair_stat(False, _expansion_log2), 0, 10),
+    ),
+    "expand": (("index degree", lambda a: sum(parse_parts(a.index)), 0, 9),),
+    "kostka": (("degree", lambda a: a.degree, 1, 8),),
+    "gram": (("degree", lambda a: a.degree, 1, 8),),
+    "rsk": (
+        ("verify degree", lambda a: a.verify, 1, 7),
+        ("matrix weight", _matrix_stat(lambda m: sum(map(sum, m))), 0, 1000),
+        ("matrix entry count", _matrix_stat(lambda m: sum(map(len, m))), 1, 1000),
+    ),
+    "det": (("degree", lambda a: a.degree, 2, gramdet.GENERIC_DET_BOUND),),
+    "verify": tuple(
+        (f"max degree of suite {suite}",
+         lambda a, suite=suite: a.max_degree if a.suite == suite else None, 1, hi)
+        for suite, hi in VERIFY_MAX_DEGREE.items()
+    ),
+    "tables": (),
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "kostka" and not 1 <= args.degree <= BOUNDS["kostka"]:
-            raise ValueError(f"degree must be in 1..{BOUNDS['kostka']}")
-        if args.command == "gram" and not 1 <= args.degree <= BOUNDS["gram"]:
-            raise ValueError(f"degree must be in 1..{BOUNDS['gram']}")
-        if args.command == "det":
-            lo, hi = BOUNDS["det"]
-            if not lo <= args.degree <= hi:
-                raise ValueError(f"degree must be in {lo}..{hi}")
-        if args.command == "rsk":
-            if (args.matrix is None) == (args.verify is None):
-                raise ValueError("pass exactly one of --matrix or --verify")
-            if args.verify is not None and not 1 <= args.verify <= BOUNDS["rsk"]:
-                raise ValueError(f"verify degree must be in 1..{BOUNDS['rsk']}")
+        for what, read, lo, hi in BOUNDS[args.command]:
+            value = read(args)
+            if value is not None and not lo <= value <= hi:
+                raise ValueError(f"{what} must be in {lo}..{hi}")
         return args.func(args)
     except (ValueError, json.JSONDecodeError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -13,6 +13,11 @@ lexicographically larger, so the rewriting terminates.
 
 Straightening is cross-validated against an independent route: solve
 M' c = [(h_mu, w)]_mu, with M' the partition Gram matrix (determinant +-1).
+
+The form on the quotient dots the coefficients of y with the row p of the
+memoized partition Gram matrix to give (h_p, y); pair and pair_tensor both
+sum these values, and pair_tensor evaluates each one it needs once per call.
+Linear combinations of elements are summed in one dict (linear_combination).
 """
 
 from functools import lru_cache
@@ -96,16 +101,10 @@ class OddElt:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return OddElt(out)
+        return linear_combination(((1, self), (1, other)))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) - c
-        return OddElt(out)
+        return linear_combination(((1, self), (-1, other)))
 
     def __neg__(self):
         return OddElt({p: -c for p, c in self.terms.items()})
@@ -131,14 +130,8 @@ class OddElt:
     def degrees(self) -> set[int]:
         return {sum(p) for p in self.terms}
 
-    def component(self, n: int) -> "OddElt":
-        return OddElt({p: c for p, c in self.terms.items() if sum(p) == n})
-
     def coefficient(self, part) -> int:
         return self.terms.get(tuple(part), 0)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
 
     def to_json_dict(self) -> dict:
         return {",".join(map(str, p)): c for p, c in sorted(self.terms.items())}
@@ -165,6 +158,15 @@ class OddElt:
                 bits.append(f"{c:+d}*{label}")
         s = " ".join(bits)
         return s[1:] if s.startswith("+") else s
+
+
+def linear_combination(pairs) -> OddElt:
+    """The sum of k * x over (k, x) pairs, accumulated in one dict."""
+    out: dict[tuple[int, ...], int] = {}
+    for k, x in pairs:
+        for p, c in x.terms.items():
+            out[p] = out.get(p, 0) + k * c
+    return OddElt(out)
 
 
 def h_elt(parts) -> OddElt:
@@ -216,14 +218,24 @@ def gram_h_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in unimodular_inverse([list(r) for r in gram_h(n)]))
 
 
+@lru_cache(maxsize=None)
+def _gram_rows(n: int) -> dict:
+    """gram_h(n) keyed by partitions: rows[lam][mu] = (h_lam, h_mu)."""
+    parts = partitions_of(n)
+    return {lam: dict(zip(parts, row)) for lam, row in zip(parts, gram_h(n))}
+
+
+def _pair_h_with(part: tuple[int, ...], y: OddElt) -> int:
+    """(h_part, y), read off the memoized Gram matrix of the degree."""
+    n = sum(part)
+    return sum(
+        c * _gram_rows(n)[part][mu] for mu, c in y.terms.items() if sum(mu) == n
+    )
+
+
 def pair(x: OddElt, y: OddElt) -> int:
     """Bilinear form on the quotient."""
-    total = 0
-    for p1, c1 in x.terms.items():
-        for p2, c2 in y.terms.items():
-            if sum(p1) == sum(p2):
-                total += c1 * c2 * form.pair_h_at(p1, p2, -1)
-    return total
+    return sum(c * _pair_h_with(p, y) for p, c in x.terms.items())
 
 
 def normalize_via_gram(terms) -> OddElt:
@@ -298,11 +310,13 @@ def coproduct(x: OddElt) -> dict:
 
 
 def pair_tensor(left: dict, y1: OddElt, y2: OddElt) -> int:
-    """Pair a tensor-square element against y1 (x) y2, component-wise."""
-    total = 0
-    for (p1, p2), c in left.items():
-        total += c * pair(OddElt({p1: 1}), y1) * pair(OddElt({p2: 1}), y2)
-    return total
+    """Pair a tensor-square element against y1 (x) y2, component-wise.
+
+    Each (h_p, y_i) that the components need is evaluated once.
+    """
+    with_y1 = {p: _pair_h_with(p, y1) for p in {p1 for p1, _ in left}}
+    with_y2 = {p: _pair_h_with(p, y2) for p in {p2 for _, p2 in left}}
+    return sum(c * with_y1[p1] * with_y2[p2] for (p1, p2), c in left.items())
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +325,19 @@ def pair_tensor(left: dict, y1: OddElt, y2: OddElt) -> int:
 
 @lru_cache(maxsize=None)
 def _e_change_of_basis(n: int):
-    """Matrix with row lam = e_lam in h-coordinates, plus its inverse."""
+    """The partitions of n and the inverse of the matrix whose row lam is
+    e_lam in h-coordinates."""
     parts = partitions_of(n)
-    idx = {p: i for i, p in enumerate(parts)}
-    mat = []
-    for lam in parts:
-        elt = e_elt(lam)
-        row = [0] * len(parts)
-        for p, c in elt.terms.items():
-            row[idx[p]] = c
-        mat.append(row)
-    inv = unimodular_inverse(mat)
-    return parts, tuple(map(tuple, mat)), tuple(map(tuple, inv))
+    mat = [[e_elt(lam).coefficient(p) for p in parts] for lam in parts]
+    return parts, tuple(map(tuple, unimodular_inverse(mat)))
 
 
 def e_coordinates(x: OddElt) -> dict:
     """Coordinates of x in the e-basis, keyed by partition."""
     out: dict[tuple[int, ...], int] = {}
     for n in x.degrees():
-        parts, _, inv = _e_change_of_basis(n)
-        idx = {p: i for i, p in enumerate(parts)}
-        v = [0] * len(parts)
-        for p, c in x.component(n).terms.items():
-            v[idx[p]] = c
+        parts, inv = _e_change_of_basis(n)
+        v = [x.coefficient(p) for p in parts]
         # x = sum_j v_j h_j, h = E^{-1} applied on coordinates: x = c^T E
         for i, lam in enumerate(parts):
             c = sum(v[j] * inv[j][i] for j in range(len(parts)))
@@ -343,10 +347,7 @@ def e_coordinates(x: OddElt) -> dict:
 
 
 def from_e_coordinates(coords: dict) -> OddElt:
-    out = OddElt.zero()
-    for lam, c in coords.items():
-        out = out + e_elt(tuple(lam)).scale(c)
-    return out
+    return linear_combination((c, e_elt(tuple(lam))) for lam, c in coords.items())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ and ZZ[q].  det_by_interpolation computes the determinant of a QPoly matrix
 without multiplying polynomials: it evaluates the matrix at the points
 0, 1, ..., D modulo a prime above twice a proven coefficient bound, takes each
 determinant by Gaussian elimination mod p, interpolates, and lifts the
-coefficients to the balanced residues.
+coefficients to the balanced residues.  rank_exact, unimodular_inverse and
+kernel_basis read their answers off one Gauss-Jordan reduction over Q.
 """
 
 from fractions import Fraction
@@ -381,87 +382,70 @@ def _interpolate(values, p: int) -> list[int]:
     return poly
 
 
-def rank_exact(matrix) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    if not matrix:
-        return 0
-    m = [list(row) for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
+def _rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q of a rational matrix, by Gauss-Jordan
+    elimination on Fractions, together with its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
     for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
         piv = next((i for i in range(row, nrows) if m[i][col] != 0), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[row][col] * m[i][j] - m[i][col] * m[row][j]) // prev
-            m[i][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+        # Left of col the pivot row is zero, so only the columns from col on
+        # change.
+        pv = m[row][col]
+        tail = [x / pv for x in m[row][col:]]
+        m[row][col:] = tail
+        for i in range(nrows):
+            f = m[i][col]
+            if i != row and f != 0:
+                m[i][col:] = [a - f * b for a, b in zip(m[i][col:], tail)]
+        pivots.append(col)
+    return m, pivots
+
+
+def rank_exact(matrix) -> int:
+    """Rank over Q of an integer matrix: the number of pivots."""
+    return len(_rref(matrix)[1])
 
 
 def unimodular_inverse(matrix) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1.
+    """Exact inverse of an integer matrix with determinant +-1, read off the
+    reduced form of [A | I].
 
-    Raises ValueError on non-unimodular input.
+    Raises ValueError unless A is invertible with an integral inverse, which
+    for an integer matrix is the same as det A = +-1.
     """
     n = len(matrix)
-    det = det_exact(matrix)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {det})")
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    inv = [[x for x in row[n:]] for row in aug]
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    m, pivots = _rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    )
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    inv = [row[n:] for row in m]
     if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("inverse is not integral")
+        raise ValueError("matrix is not unimodular: the inverse is not integral")
     return [[int(x) for x in row] for row in inv]
 
 
 def kernel_basis(matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix (reduced row echelon)."""
+    """Basis of the right kernel of a rational matrix, one vector per free
+    column of the reduced row echelon form."""
     if not matrix:
         return []
-    m = [[Fraction(x) for x in row] for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = _rref(matrix)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
+    for fc in range(len(m[0])):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * len(m[0])
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]

@@ -4,9 +4,16 @@ The library computes each pairing one way; the routes here compute the same
 numbers independently so the tests can compare them entry by entry.
 """
 
-from oddsym.combinat import matrices_with_margins, matrix_sign, triangular
+from oddsym import oddring
+from oddsym.bases import basis_matrix, forgotten
+from oddsym.combinat import (
+    matrices_with_margins,
+    matrix_sign,
+    partitions_of,
+    triangular,
+)
 from oddsym.form import _pair_h, htilde_expansion
-from oddsym.polyq import QPoly
+from oddsym.polyq import QPoly, unimodular_inverse
 
 
 def cable_sign(matrix) -> int:
@@ -34,3 +41,26 @@ def pair_htilde_inclusion_exclusion(beta, alpha) -> QPoly:
             for e, c in _pair_h(b, a):
                 counts[e] = counts.get(e, 0) + cb * ca * c
     return QPoly.from_exponent_counts(counts)
+
+
+def form_in_forgotten_basis(n: int):
+    """Matrix of the bilinear form in the f-basis, two ways: directly and as
+    M^-1 M' M^-1."""
+    parts = partitions_of(n)
+    fs = {mu: forgotten(mu) for mu in parts}
+    direct = [
+        [oddring.pair(fs[lam], fs[mu]) for mu in parts] for lam in parts
+    ]
+    M = [list(r) for r in basis_matrix("eh", n)[1]]
+    Mp = [list(r) for r in basis_matrix("hh", n)[1]]
+    Minv = unimodular_inverse(M)
+    prod1 = _matmul_int(Minv, Mp)
+    composed = _matmul_int(prod1, Minv)
+    return parts, direct, composed
+
+
+def _matmul_int(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)
+    ]

@@ -6,7 +6,6 @@ from oddsym.bases import (
     eh_det_self_transpose,
     eh_matrix_det,
     forgotten,
-    form_in_forgotten_basis,
     kostka,
     kostka_matrix,
     kostka_unsigned,
@@ -21,7 +20,10 @@ from oddsym.combinat import partitions_of, shape_sign, transpose, triangular_sum
 from oddsym.form import e_word, h_word, pair_h_at, pair_words_odd
 from oddsym.oddring import OddElt, e_elt, e_letter, h_elt, pair
 
-from oracles import basis_matrix_entry_by_enumeration
+from oracles import (
+    basis_matrix_entry_by_enumeration,
+    form_in_forgotten_basis,
+)
 
 
 class TestKostka:

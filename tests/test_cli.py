@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oddsym import form
-from oddsym.cli import main, parse_colored, parse_parts
+from oddsym.cli import BOUNDS, build_parser, main, parse_colored, parse_parts
 
 
 def random_composition(rng, n):
@@ -226,3 +226,52 @@ class TestExitCodes:
             main(["expand", "--what", "htilde", "--index", "2,1",
                   "--in-basis", "e"])
         assert exc.value.code == 2
+
+    def test_bounds_cover_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(BOUNDS) == set(sub.choices)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pair", "--left", "17", "--right", "17", "--q", "-1"],
+             "word degree at q = -1 must be in 0..16"),
+            (["pair", "--left", "11", "--right", "1^11", "--q", "2"],
+             "word degree must be in 0..10"),
+            (["pair", "--basis", "e", "--left", "5,5", "--right", "10"],
+             "log2 of the e-letter expansion must be in 0..10"),
+            (["expand", "--what", "m", "--index", "10"],
+             "index degree must be in 0..9"),
+            (["rsk", "--matrix", "[[1001]]"], "matrix weight must be in 0..1000"),
+            (["rsk", "--matrix", json.dumps([[0] * 1001])],
+             "matrix entry count must be in 1..1000"),
+            (["verify", "--suite", "hopf", "--max-degree", "10"],
+             "max degree of suite hopf must be in 1..9"),
+            (["verify", "--suite", "semiorth", "--max-degree", "11"],
+             "max degree of suite semiorth must be in 1..10"),
+            (["verify", "--suite", "all", "--max-degree", "8"],
+             "max degree of suite all must be in 1..7"),
+            (["verify", "--suite", "rsk", "--max-degree", "0"],
+             "max degree of suite rsk must be in 1..7"),
+        ],
+    )
+    def test_out_of_bound_input(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pair", "--basis", "e", "--left", "4,4,4,4", "--right", "16",
+             "--q", "-1"],
+            ["pair", "--basis", "mixed", "--left", "e4,h6", "--right", "e5,h5",
+             "--q", "generic"],
+            ["expand", "--what", "m", "--index", "9"],
+            ["rsk", "--matrix", "[[2,2,2],[2,2,2],[2,2,2]]"],
+        ],
+    )
+    def test_at_bound_input_is_answered(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddsym.combinat import compositions_of, partitions_of, transpose
-from oddsym.form import E, H, e_word, h_word
+from oddsym.form import E, H, e_word, h_word, pair_words_odd
 from oddsym.oddring import (
     OddElt,
     coproduct,
@@ -11,6 +13,7 @@ from oddsym.oddring import (
     from_e_coordinates,
     gram_h,
     h_elt,
+    linear_combination,
     normalize,
     normalize_via_gram,
     pair,
@@ -18,6 +21,23 @@ from oddsym.oddring import (
     semiorthogonality_check,
 )
 from oddsym.polyq import det_exact
+
+# Seeded property runs: the same examples every run, no example database.
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+
+def elements(degrees):
+    """Integer combinations of at most five h_lam with lam of the given
+    degrees."""
+    parts = [lam for n in degrees for lam in partitions_of(n)]
+    return st.dictionaries(
+        st.sampled_from(parts), st.integers(-3, 3), max_size=5
+    ).map(OddElt)
+
+
+def h_words(x: OddElt) -> dict:
+    """x as a combination of free h-words, for the colored pairing."""
+    return {h_word(lam): c for lam, c in x.terms.items()}
 
 
 class TestStraightening:
@@ -149,6 +169,18 @@ class TestRingStructure:
         for n in range(9):
             assert radical_rank(n, -1) == len(partitions_of(n))
 
+    @PROPERTY
+    @given(st.lists(st.tuples(st.integers(-3, 3), elements(range(5))), max_size=6))
+    def test_linear_combination_matches_repeated_addition(self, pairs):
+        total = OddElt.zero()
+        for k, x in pairs:
+            total = total + x.scale(k)
+        got = linear_combination(pairs)
+        assert got == total
+        for lam in {lam for _, x in pairs for lam in x.terms}:
+            want = sum(k * x.coefficient(lam) for k, x in pairs)
+            assert got.coefficient(lam) == want
+
     def test_scalar_operations(self):
         x = h_elt((2, 1))
         assert 3 * x - x == x.scale(2)
@@ -167,6 +199,29 @@ class TestPairing:
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     assert pair(h_elt(lam), h_elt(mu)) == pair(h_elt(mu), h_elt(lam))
+
+    @PROPERTY
+    @given(st.data())
+    def test_matches_colored_rule(self, data):
+        # pair reads the Gram matrix of the generic h-pairing at q = -1; the
+        # colored recursion of form.pair_words_odd is an independent route
+        n, m = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+        x, y = data.draw(elements((n, m))), data.draw(elements((n,)))
+        assert pair(x, y) == pair_words_odd(h_words(x), h_words(y))
+
+    @PROPERTY
+    @given(st.data())
+    def test_pair_tensor_matches_colored_rule(self, data):
+        n = data.draw(st.integers(0, 6))
+        d1 = data.draw(st.integers(0, n))
+        z = data.draw(elements((n,)))
+        y1, y2 = data.draw(elements((d1,))), data.draw(elements((n - d1,)))
+        want = sum(
+            c * pair_words_odd(h_word(p1), h_words(y1))
+            * pair_words_odd(h_word(p2), h_words(y2))
+            for (p1, p2), c in coproduct(z).items()
+        )
+        assert pair_tensor(coproduct(z), y1, y2) == want
 
     def test_restricted_gram_unimodular(self):
         # the form restricted to span{h_mu : mu >= lam} has determinant +-1,

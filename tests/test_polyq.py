@@ -218,6 +218,8 @@ class TestUnimodular:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             unimodular_inverse([[2, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            unimodular_inverse([[1, 2], [2, 4]])
 
     @pytest.mark.parametrize("kind", ["hh", "ee"])
     def test_round_trip_on_pairing_tables(self, kind):
