@@ -58,7 +58,7 @@ from .gramdet import (
     radical_rank,
 )
 from .polyq import QPoly, qfactorial, qint
-from .rsk import knuth_normalize, odd_plactic_reduce, row_insert, rsk
+from .rsk import knuth_normalize, odd_plactic_reduce, row_insert
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

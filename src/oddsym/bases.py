@@ -118,8 +118,9 @@ def power_sum(n: int) -> OddElt:
 # reports
 
 
-def schur_orthonormality(n: int) -> dict:
-    """(s_lam, s_mu) = (-1)^(T(lam^T)+|lam|) delta, exhaustively in degree n."""
+def schur_orthonormality(n: int) -> list:
+    """(s_lam, s_mu) = (-1)^(T(lam^T)+|lam|) delta, exhaustively in degree n;
+    returns the failing pairs."""
     failures = []
     parts = partitions_of(n)
     vecs = {lam: schur(lam) for lam in parts}
@@ -129,12 +130,13 @@ def schur_orthonormality(n: int) -> dict:
             want = shape_sign(lam) if lam == mu else 0
             if got != want:
                 failures.append({"lambda": lam, "mu": mu, "got": got, "want": want})
-    return {"degree": n, "ok": not failures, "failures": failures}
+    return failures
 
 
-def schur_alt_routes(lam) -> dict:
-    """Cross-check the Schur vector against its three alternative
-    constructions (monomial route, e-leading route, twisted expansions)."""
+def schur_alt_routes(lam) -> list:
+    """Cross-check the Schur vector against its alternative constructions
+    (monomial route, e-leading route, twisted expansions); returns the
+    routes that disagree."""
     lam = tuple(lam)
     n = sum(lam)
     parts = partitions_of(n)
@@ -178,7 +180,7 @@ def schur_alt_routes(lam) -> dict:
     )
     checks["twisted_f_route"] = lhs4 == rhs4
 
-    return {"lambda": lam, "ok": all(checks.values()), "checks": checks}
+    return [{"lambda": lam, "route": name} for name, ok in checks.items() if not ok]
 
 
 def eh_matrix_det(n: int) -> int:

@@ -117,29 +117,23 @@ def factor_multiplicity_check(n: int) -> dict:
     The listed factors are pairwise coprime, so a factor's multiplicity in
     the residual is its multiplicity in the determinant.  Powers beyond the
     listed multiplicity stay in the residual, so a listed multiplicity above
-    or below the true one is reported as a failure."""
-    results = []
+    or below the true one is reported as a failure.  Items skip the factors
+    that neither divide the determinant nor are listed for degree n.
+    """
+    items = []
     residual = gram_det(n)
     for item in degenerate_factors():
-        want = item["multiplicities"].get(n, 0)
+        listed = item["multiplicities"].get(n, 0)
         got, residual = divide_out(residual, item["poly"])
-        results.append(
-            {"factor": item["name"], "want": want, "got": got, "ok": got == want}
-        )
-        if got > want:
-            residual = residual * item["poly"] ** (got - want)
-    factors_palindromic = all(
-        item["poly"].is_self_reciprocal()
-        for item in degenerate_factors()
-        if item["name"] != "q"
-    )
+        if got or listed:
+            items.append({"factor": item["name"], "multiplicity": got,
+                          "listed": listed, "ok": got == listed})
+        if got > listed:
+            residual = residual * item["poly"] ** (got - listed)
     return {
-        "degree": n,
-        "factors": results,
+        "items": items,
         "residual": str(residual),
-        "residual_degree": residual.degree(),
-        "factors_palindromic": factors_palindromic,
-        "ok": all(r["ok"] for r in results) and residual.degree() == 0
+        "ok": all(r["ok"] for r in items) and residual.degree() == 0
         and abs(residual.leading_coefficient()) == 1,
     }
 

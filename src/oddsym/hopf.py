@@ -72,7 +72,8 @@ def omega_sign_twist_reverse(x: OddElt) -> OddElt:
 
 
 # ---------------------------------------------------------------------------
-# axiom and relation reports
+# checks: each returns its failure witnesses, and passes when the list is
+# empty
 
 
 def _convolve(f, g, x: OddElt) -> OddElt:
@@ -82,19 +83,15 @@ def _convolve(f, g, x: OddElt) -> OddElt:
     )
 
 
-def antipode_axiom_check(n: int) -> dict:
-    """Convolution checks on all h_lam of degree n.
+def antipode_axiom_check(n: int) -> list:
+    """m(S (x) 1)Delta = unit.counit = m(1 (x) S)Delta on all h_lam of
+    degree n.
 
-    The antipode satisfies m(S (x) 1)Delta = unit.counit = m(1 (x) S)Delta;
-    it is the unique such map, and it is not an involution (S^2 first moves
-    h_2, in degree 2).  The involutive composite omega.sign_twist.reverse
-    squares to the identity but fails the convolution axiom.  The report
-    itemizes all four facts so callers can tell them apart.
+    The antipode is the unique such map, and it is not an involution (S^2
+    first moves h_2, in degree 2); see composite_involutive_check for the
+    involutive composite, which fails this axiom.
     """
-    axiom_failures = []
-    square_failures = []
-    composite_involutive_failures = []
-    composite_counterexamples = []
+    failures = []
     ident = lambda x: x  # noqa: E731
     for lam in partitions_of(n):
         x = h_elt(lam)
@@ -102,29 +99,19 @@ def antipode_axiom_check(n: int) -> dict:
         left = _convolve(antipode, ident, x)
         right = _convolve(ident, antipode, x)
         if left != want or right != want:
-            axiom_failures.append(
-                {"lambda": lam, "left": repr(left), "right": repr(right)}
-            )
-        if antipode(antipode(x)) != x:
-            square_failures.append(
-                {"lambda": lam, "S2": repr(antipode(antipode(x)))}
-            )
-        comp = omega_sign_twist_reverse
-        if comp(comp(x)) != x:
-            composite_involutive_failures.append({"lambda": lam})
-        if _convolve(comp, ident, x) != want:
-            composite_counterexamples.append(lam)
-    return {
-        "degree": n,
-        "ok": not axiom_failures,
-        "axiom_failures": axiom_failures,
-        "antipode_square_failures": square_failures,
-        "composite_involutive": not composite_involutive_failures,
-        "composite_axiom_counterexamples": composite_counterexamples,
-    }
+            failures.append({"lambda": lam, "left": repr(left), "right": repr(right)})
+    return failures
 
 
-def group_relations_check(n: int) -> dict:
+def composite_involutive_check(n: int) -> list:
+    """omega.sign_twist.reverse squares to the identity on all h_lam of
+    degree n."""
+    comp = omega_sign_twist_reverse
+    return [{"lambda": lam} for lam in partitions_of(n)
+            if comp(comp(h_elt(lam))) != h_elt(lam)]
+
+
+def group_relations_check(n: int) -> list:
     """Relations among the generator maps on all h_lam of degree n:
     sign_twist^2 = 1, (omega.sign_twist)^2 = 1 (equivalently
     sign_twist.omega.sign_twist = omega^-1), omega.sign_twist.omega =
@@ -143,10 +130,10 @@ def group_relations_check(n: int) -> dict:
         bad = [k for k, v in checks.items() if not v]
         if bad:
             failures.append({"lambda": lam, "failed": bad})
-    return {"degree": n, "ok": not failures, "failures": failures}
+    return failures
 
 
-def antipode_images_check(n: int) -> dict:
+def antipode_images_check(n: int) -> list:
     """Closed forms on both families.
 
     omega.sign_twist sends h_lam to (-1)^T(lam) e_lam and back, and the
@@ -173,20 +160,21 @@ def antipode_images_check(n: int) -> dict:
         for name, got, want in pairs:
             if got != want:
                 failures.append({"lambda": lam, "relation": name})
-    return {"degree": n, "ok": not failures, "failures": failures}
+    return failures
 
 
-def generating_function_check(n: int) -> dict:
-    """sum_k (-1)^(k(n-k)) sign_twist(e_(n-k)) h_k = 0."""
+def generating_function_check(n: int) -> list:
+    """sum_k (-1)^(k(n-k)) sign_twist(e_(n-k)) h_k = 0; a nonzero sum is the
+    witness."""
     total = linear_combination(
         (-1 if (k * (n - k)) % 2 else 1,
          sign_twist(oddring.e_letter(n - k)) * h_elt((k,) if k else ()))
         for k in range(n + 1)
     )
-    return {"degree": n, "ok": not total, "residual": repr(total)}
+    return [{"degree": n, "residual": repr(total)}] if total else []
 
 
-def schur_action_check(n: int) -> dict:
+def schur_action_check(n: int) -> list:
     """reverse(s_lam) = eta_lam s_lam and
     omega_sign_twist(s_lam) = (-1)^(l(w_lam)+|lam|) s_lam^T."""
     from .combinat import reverse_sort_sign
@@ -199,10 +187,10 @@ def schur_action_check(n: int) -> dict:
         sign = -1 if (sw_ne_pairs(lam) + n) % 2 else 1
         if omega_sign_twist(s) != bases.schur(transpose(lam)).scale(sign):
             failures.append({"lambda": lam, "relation": "omega_sign_twist"})
-    return {"degree": n, "ok": not failures, "failures": failures}
+    return failures
 
 
-def adjointness_check(n: int) -> dict:
+def adjointness_check(n: int) -> list:
     """(y1 (x) y2, Delta x) = (y1 y2, x) over all h-basis triples of total
     degree at most n."""
     failures = []
@@ -225,7 +213,7 @@ def adjointness_check(n: int) -> dict:
                             failures.append(
                                 {"y1": y1p, "y2": y2p, "x": xp, "lhs": lhs, "rhs": rhs}
                             )
-    return {"total_degree": n, "ok": not failures, "failures": failures}
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +262,38 @@ def is_primitive(x: OddElt) -> bool:
     return delta == {k: v for k, v in expected.items() if v}
 
 
-def centrality_check(k: int, bound: int) -> dict:
+def primitives_check(n: int) -> list:
+    """The primitive subspace of degree n has dimension 1 for n = 1 and n
+    even, else 0; its basis vectors are primitive, and a nonzero one is
+    +-p_n."""
+    ps = primitives(n)
+    want = 1 if (n == 1 or n % 2 == 0) else 0
+    failures = []
+    if len(ps) != want:
+        failures.append({"degree": n, "dimension": len(ps), "expected": want})
+    failures += [{"degree": n, "not_primitive": repr(p)}
+                 for p in ps if not is_primitive(p)]
+    if want and ps:
+        pn = bases.power_sum(n)
+        if ps[0] != pn and ps[0] != pn.scale(-1):
+            failures.append({"degree": n, "primitive": repr(ps[0]),
+                             "power_sum": repr(pn)})
+    return failures
+
+
+def centrality_check(k: int, bound: int) -> list:
     """Commutators [p_k, h_m] in normal form for all m with k + m <= bound.
 
-    All vanish iff k is even; for odd k the first nonzero commutator is
-    reported as a witness.
+    All vanish iff k is even.  For even k each nonzero commutator is a
+    failure witness; for odd k the check fails when none is nonzero.
     """
     p = bases.power_sum(k)
-    witnesses = []
+    nonzero = []
     for m in range(1, bound - k + 1):
         h = h_elt((m,))
         comm = p * h - h * p
         if comm:
-            witnesses.append({"m": m, "commutator": repr(comm)})
-    ok = (not witnesses) if k % 2 == 0 else bool(witnesses)
-    return {"k": k, "bound": bound, "central": not witnesses, "ok": ok,
-            "witnesses": witnesses}
+            nonzero.append({"m": m, "commutator": repr(comm)})
+    if k % 2 == 0:
+        return nonzero
+    return [] if nonzero else [{"k": k, "bound": bound, "commutators": "all zero"}]

@@ -354,9 +354,10 @@ def from_e_coordinates(coords: dict) -> OddElt:
 # semi-orthogonality report
 
 
-def semiorthogonality_check(n: int) -> dict:
+def semiorthogonality_check(n: int) -> list:
     """Check (h_lam, e_lam^T) = (-1)^(sw-ne pairs) and the vanishing
-    (h_lam, e_alpha) = (e_lam, h_alpha) = 0 for alpha > lam^T lexicographic.
+    (h_lam, e_alpha) = (e_lam, h_alpha) = 0 for alpha > lam^T lexicographic;
+    returns the failures.
     """
     from .combinat import compositions_of, sw_ne_pairs
 
@@ -376,4 +377,4 @@ def semiorthogonality_check(n: int) -> dict:
                         {"lambda": lam, "alpha": alpha, "kind": "vanishing",
                          "he": he, "eh": eh}
                     )
-    return {"degree": n, "ok": not failures, "failures": failures}
+    return failures

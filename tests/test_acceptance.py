@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from oddsym import bases, form, gramdet, hopf, oddring
+from oddsym import bases, cli, form, gramdet, hopf, oddring
 from oddsym.rsk import rsk_verify_degree
 from oddsym.combinat import compositions_of, matrices_with_margins, partitions_of
 from oddsym.oddring import OddElt, h_elt
@@ -293,8 +293,8 @@ def test_criterion_5_odd_rsk_sign_theorem():
 def test_criterion_6_schur_orthonormality_and_semiorthogonality():
     t0 = time.perf_counter()
     for n in range(1, 8):
-        assert bases.schur_orthonormality(n)["ok"], n
-        assert oddring.semiorthogonality_check(n)["ok"], n
+        assert not bases.schur_orthonormality(n), n
+        assert not oddring.semiorthogonality_check(n), n
     report(6, time.perf_counter() - t0, 30.0,
            "signed orthonormality and semi-orthogonality, degrees 1..7")
 
@@ -305,16 +305,15 @@ def test_criterion_6_schur_orthonormality_and_semiorthogonality():
 
 def test_criterion_7_hopf_suite():
     t0 = time.perf_counter()
-    assert hopf.adjointness_check(6)["ok"]
-    for n in range(7):
-        r = hopf.antipode_axiom_check(n)
-        assert r["ok"], ("axiom", n)
-        assert r["composite_involutive"], ("composite", n)
-    assert hopf.group_relations_check(6)["ok"]
-    assert hopf.antipode_images_check(6)["ok"]
-    for n in range(1, 7):
-        assert hopf.generating_function_check(n)["ok"], n
-    assert hopf.schur_action_check(6)["ok"]
+    results = dict(cli.run_suite("hopf", 6))
+    assert list(results) == (
+        ["hopf/adjointness"]
+        + [f"hopf/{check} deg {n}" for n in range(7)
+           for check in ("antipode-axiom", "composite-involutive")]
+        + ["hopf/group-relations", "hopf/images", "hopf/generating-function",
+           "hopf/schur-action"]
+    )
+    assert not any(results.values()), {k: v for k, v in results.items() if v}
     report(7, time.perf_counter() - t0, 30.0,
            "adjointness, antipode axiom, relations, closed forms, "
            "generating function, Schur actions (degree <= 6)")
@@ -330,7 +329,8 @@ def test_criterion_7_hopf_suite():
 )
 def test_criterion_7_antipode_square_is_identity():
     for n in range(7):
-        assert not hopf.antipode_axiom_check(n)["antipode_square_failures"], n
+        for lam in partitions_of(n):
+            assert hopf.antipode(hopf.antipode(h_elt(lam))) == h_elt(lam), lam
 
 
 # --------------------------------------------------------------------------
@@ -362,11 +362,13 @@ def test_criterion_9_determinant_analysis():
     for n in range(2, 7):
         fac = gramdet.factor_multiplicity_check(n)
         assert fac["ok"], fac
-    n4 = {f["factor"]: f["got"] for f in gramdet.factor_multiplicity_check(4)["factors"]}
+    n4 = {f["factor"]: f["multiplicity"]
+          for f in gramdet.factor_multiplicity_check(4)["items"]}
     assert n4["q"] == 17 and n4["q-1"] == 4 and n4["q+1"] == 4
     assert n4["q^6+2q^4-q^3+2q^2+1"] == 1
     assert 17 + 4 + 4 + 6 == gramdet.det_degree_formula(4)
-    n5 = {f["factor"]: f["got"] for f in gramdet.factor_multiplicity_check(5)["factors"]}
+    n5 = {f["factor"]: f["multiplicity"]
+          for f in gramdet.factor_multiplicity_check(5)["items"]}
     assert n5["degree-18 palindromic"] == 1
     report(9, time.perf_counter() - t0, 300.0,
            "determinant degrees 2..6 and multiplicities 2..6")
@@ -400,12 +402,10 @@ def test_criterion_10_primitives():
     for n, terms in expected_power_sums.items():
         assert bases.power_sum(n) == OddElt(terms), n
     for k in range(1, 8):
-        result = hopf.centrality_check(k, 8)
-        assert result["ok"], (k, result)
-        if k % 2 == 0:
-            assert result["central"]
-        else:
-            assert result["witnesses"]
+        assert not hopf.centrality_check(k, 8), k
+        p = bases.power_sum(k)
+        central = all(p * h_elt((m,)) == h_elt((m,)) * p for m in range(1, 9 - k))
+        assert central == (k % 2 == 0), k
     report(10, time.perf_counter() - t0, 30.0,
            "primitive dimensions (deg <= 8), power sums 1..6, centrality")
 

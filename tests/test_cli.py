@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from oddsym import form
-from oddsym.cli import BOUNDS, build_parser, main, parse_colored, parse_parts
+from oddsym import form, hopf
+from oddsym.cli import (
+    BOUNDS,
+    MAX_WORD_DEGREE,
+    build_parser,
+    main,
+    parse_colored,
+    parse_parts,
+)
 
 
 def random_composition(rng, n):
@@ -21,6 +28,7 @@ class TestParsing:
         assert parse_parts("1^5") == (1, 1, 1, 1, 1)
         assert parse_parts("3,1^2") == (3, 1, 1)
         assert parse_parts("2^2,1") == (2, 2, 1)
+        assert parse_parts(f"1^{MAX_WORD_DEGREE}") == (1,) * MAX_WORD_DEGREE
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -137,10 +145,94 @@ class TestCommands:
         assert "det degree 7 (formula 7)" in out
         assert "q: multiplicity 5 (listed 5) ok" in out
 
+    @pytest.mark.parametrize("n, multiplicities", [
+        (2, {"q": 1}),
+        (3, {"q": 5, "q-1": 1, "q+1": 1}),
+        (4, {"q": 17, "q-1": 4, "q+1": 4, "q^6+2q^4-q^3+2q^2+1": 1}),
+        (5, {"q": 49, "q-1": 14, "q+1": 12, "q^6+2q^4-q^3+2q^2+1": 2,
+             "q^2+q+1": 2, "q^2-q+1": 1, "degree-18 palindromic": 1}),
+        (6, {"q": 129, "q-1": 38, "q+1": 34, "q^6+2q^4-q^3+2q^2+1": 5,
+             "q^2+q+1": 6, "q^2-q+1": 4, "degree-18 palindromic": 2,
+             "q^2+1": 2, "degree-10 palindromic": 1,
+             "degree-50 palindromic": 1}),
+    ])
+    def test_det_factor_multiplicities(self, capsys, n, multiplicities):
+        assert main(["det", "--degree", str(n), "--factors", "--format", "json"]) == 0
+        factors = json.loads(capsys.readouterr().out)["factors"]
+        assert factors["items"] == [
+            {"factor": name, "multiplicity": m, "listed": m, "ok": True}
+            for name, m in multiplicities.items()
+        ]
+        assert factors["residual"] == "1" and factors["ok"] is True
+
     def test_verify_suite(self, capsys):
         assert main(["verify", "--suite", "semiorth", "--max-degree", "4"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4 and "FAIL" not in out
+
+    def test_verify_check_names(self, capsys):
+        assert main(["verify", "--suite", "all", "--max-degree", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("PASS  ") for line in lines)
+        assert [line[6:] for line in lines] == [
+            "hopf/adjointness",
+            "hopf/antipode-axiom deg 0",
+            "hopf/composite-involutive deg 0  (involutive composite; the "
+            "axiom-satisfying antipode is not involutive)",
+            "hopf/antipode-axiom deg 1",
+            "hopf/composite-involutive deg 1  (involutive composite; the "
+            "axiom-satisfying antipode is not involutive)",
+            "hopf/antipode-axiom deg 2",
+            "hopf/composite-involutive deg 2  (involutive composite; the "
+            "axiom-satisfying antipode is not involutive)",
+            "hopf/antipode-axiom deg 3",
+            "hopf/composite-involutive deg 3  (involutive composite; the "
+            "axiom-satisfying antipode is not involutive)",
+            "hopf/group-relations",
+            "hopf/images",
+            "hopf/generating-function",
+            "hopf/schur-action",
+            "schur/orthonormality deg 1",
+            "schur/orthonormality deg 2",
+            "schur/orthonormality deg 3",
+            "schur/alt-routes 1,1,1",
+            "schur/alt-routes 2,1",
+            "schur/alt-routes 3",
+            "rsk/sign-theorem deg 1",
+            "rsk/sign-theorem deg 2",
+            "rsk/sign-theorem deg 3",
+            "semiorth deg 1",
+            "semiorth deg 2",
+            "semiorth deg 3",
+            "primitives deg 1",
+            "primitives deg 2",
+            "primitives deg 3",
+            "primitives/centrality p_1",
+            "primitives/centrality p_2",
+        ]
+
+    WITNESS = [{"lambda": [2, 1], "failed": ["braid"]}]
+
+    def test_verify_failure_plain(self, monkeypatch, capsys):
+        monkeypatch.setattr(hopf, "group_relations_check", lambda n: self.WITNESS)
+        assert main(["verify", "--suite", "hopf", "--max-degree", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL  hopf/group-relations" in lines
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert json.loads(lines[-1]) == {
+            "failures": [{"check": "hopf/group-relations", "witness": self.WITNESS}]
+        }
+
+    def test_verify_failure_json(self, monkeypatch, capsys):
+        monkeypatch.setattr(hopf, "group_relations_check", lambda n: self.WITNESS)
+        assert main(["verify", "--suite", "hopf", "--max-degree", "2",
+                     "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert {"check": "hopf/group-relations", "ok": False} in report["results"]
+        assert sum(not r["ok"] for r in report["results"]) == 1
+        assert report["failures"] == [
+            {"check": "hopf/group-relations", "witness": self.WITNESS}
+        ]
 
     def test_tables_byte_stable(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -226,6 +318,31 @@ class TestExitCodes:
             main(["expand", "--what", "htilde", "--index", "2,1",
                   "--in-basis", "e"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pair", "--left", "2^-1", "--right", "0"],
+            ["pair", "--left", "2^0", "--right", "0"],
+            ["pair", "--left", "1^17", "--right", "17", "--q", "-1"],
+            ["expand", "--what", "e", "--index", "1^-3"],
+            ["expand", "--what", "e", "--index", "1^1000000000000"],
+        ],
+    )
+    def test_repeat_count_out_of_range(self, capsys, argv):
+        # the count is checked before the list of copies is built
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: repeat count in") and err.count("\n") == 1
+        assert err.endswith(f"must be in 1..{MAX_WORD_DEGREE}\n")
+
+    def test_repeat_count_bound_is_the_largest_degree_bound(self):
+        assert MAX_WORD_DEGREE == max(
+            hi for bounds in BOUNDS.values() for what, _, _, hi in bounds
+            if "degree" in what
+        )
 
     def test_bounds_cover_every_subcommand(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")

@@ -7,6 +7,7 @@ from oddsym.hopf import (
     antipode_axiom_check,
     antipode_images_check,
     centrality_check,
+    composite_involutive_check,
     generating_function_check,
     group_relations_check,
     is_primitive,
@@ -14,11 +15,19 @@ from oddsym.hopf import (
     omega_sign_twist,
     omega_sign_twist_reverse,
     primitives,
+    primitives_check,
     reverse,
     schur_action_check,
     sign_twist,
 )
-from oddsym.oddring import OddElt, e_letter, h_elt, pair
+from oddsym.oddring import OddElt, coproduct, e_letter, h_elt, linear_combination, pair
+
+
+def left_convolution(f, x: OddElt) -> OddElt:
+    """m(f (x) 1)Delta(x)."""
+    return linear_combination(
+        (c, f(OddElt({p1: 1})) * OddElt({p2: 1})) for (p1, p2), c in coproduct(x).items()
+    )
 
 
 class TestGeneratorMaps:
@@ -63,21 +72,24 @@ class TestAntipode:
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_axiom(self, n):
-        report = antipode_axiom_check(n)
-        assert report["ok"], report["axiom_failures"][:2]
+        failures = antipode_axiom_check(n)
+        assert not failures, failures[:2]
 
     def test_antipode_is_not_involutive(self):
         # the unique convolution inverse moves h_2 under squaring; the
         # involutive claim of the source holds only for the plain composite
         assert antipode(antipode(h_elt((2,)))) == OddElt({(2,): 1, (1, 1): -2})
-        report = antipode_axiom_check(2)
-        assert report["antipode_square_failures"]
+        assert [lam for lam in partitions_of(2)
+                if antipode(antipode(h_elt(lam))) != h_elt(lam)]
 
     def test_composite_is_involutive_but_not_antipode(self):
         for n in range(0, 7):
-            report = antipode_axiom_check(n)
-            assert report["composite_involutive"]
-        assert antipode_axiom_check(2)["composite_axiom_counterexamples"] == [(1, 1)]
+            assert not composite_involutive_check(n), n
+        comp = omega_sign_twist_reverse
+        assert [lam for lam in partitions_of(2)
+                if left_convolution(comp, h_elt(lam))] == [(1, 1)]
+        assert left_convolution(comp, h_elt((1, 1))) == h_elt((1, 1)).scale(2)
+        assert not left_convolution(antipode, h_elt((1, 1)))
 
     def test_super_anti_multiplicativity(self):
         for a in range(1, 5):
@@ -88,14 +100,14 @@ class TestAntipode:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_images(self, n):
-        report = antipode_images_check(n)
-        assert report["ok"], report["failures"][:3]
+        failures = antipode_images_check(n)
+        assert not failures, failures[:3]
 
 
 class TestRelations:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_group_relations(self, n):
-        assert group_relations_check(n)["ok"]
+        assert not group_relations_check(n)
 
     def test_specific_relations(self):
         h3 = h_elt((3,))
@@ -109,11 +121,11 @@ class TestRelations:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_generating_function_identity(self, n):
-        assert generating_function_check(n)["ok"]
+        assert not generating_function_check(n)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_schur_actions(self, n):
-        assert schur_action_check(n)["ok"]
+        assert not schur_action_check(n)
 
     def test_eta_sign_matches_reverse_action(self):
         from oddsym.bases import schur
@@ -124,7 +136,7 @@ class TestRelations:
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_adjointness(self, n):
-        assert adjointness_check(n)["ok"]
+        assert not adjointness_check(n)
 
 
 class TestPrimitives:
@@ -140,6 +152,10 @@ class TestPrimitives:
         for n in (2, 4, 6, 8):
             p = primitives(n)[0]
             assert p in (power_sum(n), power_sum(n).scale(-1))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_primitives_check(self, n):
+        assert not primitives_check(n)
 
     def test_primitive_coproduct(self):
         for n in range(1, 9):
@@ -166,17 +182,30 @@ class TestPrimitives:
         assert not is_primitive(__import__("oddsym.bases", fromlist=["power_sum"]).power_sum(3))
 
 
+def commutators(k: int, bound: int) -> list:
+    from oddsym.bases import power_sum
+
+    p = power_sum(k)
+    return [p * h_elt((m,)) - h_elt((m,)) * p for m in range(1, bound - k + 1)]
+
+
 class TestCentrality:
     def test_even_power_sums_commute(self):
         for k in (2, 4, 6):
-            report = centrality_check(k, 8)
-            assert report["ok"] and report["central"]
+            assert not centrality_check(k, 8)
+            assert not any(commutators(k, 8)), k
 
     def test_odd_power_sums_do_not(self):
         for k in (1, 3, 5):
-            report = centrality_check(k, 8)
-            assert report["ok"] and not report["central"]
-            assert report["witnesses"]
+            assert not centrality_check(k, 8)
+            assert any(commutators(k, 8)), k
+
+    def test_witnesses(self):
+        # odd k with no h_m in range cannot show non-centrality: that fails
+        assert centrality_check(3, 3) == [
+            {"k": 3, "bound": 3, "commutators": "all zero"}
+        ]
+        assert centrality_check(2, 2) == []
 
     def test_explicit_witness(self):
         from oddsym.bases import power_sum

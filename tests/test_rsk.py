@@ -1,7 +1,10 @@
+import types
+
 import pytest
 
-from oddsym.bases import kostka_unsigned
-from oddsym.combinat import Tableau, matrices_with_margins, partitions_of
+import oddsym
+from oddsym.bases import kostka, kostka_unsigned
+from oddsym.combinat import Tableau, matrices_with_margins, partitions_of, shape_sign
 from oddsym.rsk import (
     insert_word,
     knuth_neighbors,
@@ -11,8 +14,15 @@ from oddsym.rsk import (
     row_insert,
     rsk,
     rsk_verify_degree,
+    sign_theorem_check,
     two_line_array,
 )
+
+
+def test_package_attribute_is_the_module():
+    # the rsk function is not re-exported over the module of the same name
+    assert isinstance(oddsym.rsk, types.ModuleType)
+    assert oddsym.rsk.rsk is rsk
 
 
 class TestRowInsertion:
@@ -175,6 +185,16 @@ class TestOddRskTheorem:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exhaustive_by_degree(self, n):
         assert rsk_verify_degree(n)["ok"]
+        assert sign_theorem_check(n) == []
+
+    def test_kostka_identity_matches_kostka(self):
+        # the identity reads the memoized Kostka table; kostka() enumerates
+        # the tableaux afresh
+        for mu in partitions_of(4):
+            for rho in partitions_of(4):
+                want = sum(shape_sign(lam) * kostka(lam, mu) * kostka(lam, rho)
+                           for lam in partitions_of(4))
+                assert odd_rsk_check(mu, rho)["kostka_identity"] == want
 
     def test_report_schema(self):
         r = odd_rsk_check((2, 1), (2, 1))
