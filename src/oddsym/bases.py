@@ -57,7 +57,6 @@ def basis_matrix_entry(kind: str, lam, mu) -> int:
     return form.pair_words_odd(_WORDS[kind[0]](lam), _WORDS[kind[1]](mu))
 
 
-@lru_cache(maxsize=None)
 def basis_matrix(kind: str, n: int):
     """(partitions, rows) for the (e,h), (h,h) or (e,e) pairing table."""
     parts = partitions_of(n)
@@ -84,15 +83,16 @@ def monomial(mu) -> OddElt:
     return OddElt(dict(_row(oddring.gram_h_inverse(sum(mu)), mu)))
 
 
-@lru_cache(maxsize=None)
-def _forgotten_table(n: int):
-    return tuple(map(tuple, unimodular_inverse(basis_matrix("ee", n)[1])))
-
-
 def forgotten(mu) -> OddElt:
-    """Dual basis vector to e_mu: (e_lam, f_mu) = delta."""
+    """Dual basis vector to e_mu: (e_lam, f_mu) = delta.
+
+    With row kappa of E the h-coordinates of e_kappa, (e_kappa, m_lam) =
+    E[kappa][lam], so f_mu = sum_lam (E^-1)[lam][mu] m_lam.
+    """
+    parts, inv = oddring._e_change_of_basis(sum(mu))
+    j = parts.index(tuple(mu))
     return linear_combination(
-        (c, oddring.e_elt(lam)) for lam, c in _row(_forgotten_table(sum(mu)), mu) if c
+        (row[j], monomial(lam)) for lam, row in zip(parts, inv) if row[j]
     )
 
 

@@ -2,7 +2,8 @@
 determinant analysis, and the verification suites.
 
 Exit codes: 0 all requested checks pass, 1 verification failure (a JSON
-witness goes to stdout), 2 usage error.
+witness goes to stdout), 2 usage error or an output path that cannot be
+written.
 """
 
 import argparse
@@ -85,6 +86,14 @@ def fmt_parts(parts) -> str:
     return ",".join(map(str, parts)) if parts else "-"
 
 
+def table_cells(row_labels, col_labels, rows) -> list[list[str]]:
+    """A header row of column labels, then each row behind its label."""
+    cells = [[""] + [fmt_parts(c) for c in col_labels]]
+    for label, row in zip(row_labels, rows):
+        cells.append([fmt_parts(label)] + [str(x) for x in row])
+    return cells
+
+
 def emit_table(args, row_labels, col_labels, rows, title: str) -> None:
     fmt = args.format
     if fmt == "json":
@@ -99,9 +108,7 @@ def emit_table(args, row_labels, col_labels, rows, title: str) -> None:
             )
         )
         return
-    cells = [[""] + [fmt_parts(c) for c in col_labels]]
-    for label, row in zip(row_labels, rows):
-        cells.append([fmt_parts(label)] + [str(x) for x in row])
+    cells = table_cells(row_labels, col_labels, rows)
     if fmt == "csv":
         out = io.StringIO()
         csv.writer(out).writerows(cells)
@@ -217,15 +224,10 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    order = "appendix" if args.basis == "compositions" else "lex"
-    labels, rows = gramdet.gram_matrix(args.degree, q=args.q, basis=args.basis,
-                                       order=order)
-    shown = [[str(x) if isinstance(x, QPoly) else x for x in row] for row in rows]
-    if args.format == "json":
-        emit_table(args, labels, labels, rows, "")
-    else:
-        emit_table(args, labels, labels, shown,
-                   f"Gram matrix, degree {args.degree}, q = {args.q}")
+    labels, rows = gramdet.gram_matrix(args.degree, q=args.q, basis=args.basis)
+    title = "" if args.format == "json" else (
+        f"Gram matrix, degree {args.degree}, q = {args.q}")
+    emit_table(args, labels, labels, rows, title)
     return 0
 
 
@@ -310,9 +312,6 @@ def cmd_det(args) -> int:
     return 0
 
 
-SUITES = ("hopf", "schur", "rsk", "semiorth", "primitives", "all")
-
-
 def run_suite(suite: str, max_degree: int):
     """Yields (name, failures) pairs; a check passes when its list of
     failure witnesses is empty."""
@@ -377,18 +376,14 @@ def cmd_tables(args) -> int:
 
     def write_csv(name, row_labels, col_labels, rows):
         with open(out / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([""] + [fmt_parts(c) for c in col_labels])
-            for label, row in zip(row_labels, rows):
-                w.writerow([fmt_parts(label)] + [str(x) for x in row])
+            csv.writer(fh).writerows(table_cells(row_labels, col_labels, rows))
 
     for n in range(1, 6):
         parts, rows = bases.kostka_matrix(n)
         write_csv(f"kostka_degree_{n}.csv", parts, parts, rows)
     for n in range(1, 5):
-        labels, rows = gramdet.gram_matrix(n, order="appendix")
-        write_csv(f"gram_generic_degree_{n}.csv", labels, labels,
-                  [[str(x) for x in row] for row in rows])
+        labels, rows = gramdet.gram_matrix(n)
+        write_csv(f"gram_generic_degree_{n}.csv", labels, labels, rows)
     for n in range(1, 7):
         labels, rows = gramdet.gram_matrix(n, q=-1, basis="partitions")
         write_csv(f"gram_qminus1_degree_{n}.csv", labels, labels, rows)
@@ -472,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITES, required=True)
+    p.add_argument("--suite", choices=VERIFY_MAX_DEGREE, required=True)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=5)
     add_format(p)
     p.set_defaults(func=cmd_verify)
@@ -480,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="regenerate the appendix tables")
     p.add_argument("--appendix", action="store_true")
     p.add_argument("--out", default="appendix_tables")
-    add_format(p)
     p.set_defaults(func=cmd_tables)
 
     return parser
@@ -543,7 +537,7 @@ def main(argv=None) -> int:
             if value is not None and not lo <= value <= hi:
                 raise ValueError(f"{what} must be in {lo}..{hi}")
         return args.func(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -254,8 +254,8 @@ def ssyt(shape, content) -> list[Tableau]:
 # matrices with prescribed margins
 
 
-def matrices_with_margins(row_sums, col_sums, zero_one: bool = False):
-    """All N-matrices (or {0,1}-matrices) with the given row and column sums.
+def matrices_with_margins(row_sums, col_sums):
+    """All N-matrices with the given row and column sums.
 
     Deterministic order: rows are filled top to bottom, each row enumerated
     lexicographically.  Raises on mismatched margin weights.
@@ -282,10 +282,7 @@ def matrices_with_margins(row_sums, col_sums, zero_one: bool = False):
                         [col_left[k] - row_acc[k] for k in range(ncols)],
                     )
                 return
-            cap = min(left, col_left[j])
-            if zero_one:
-                cap = min(cap, 1)
-            for v in range(cap + 1):
+            for v in range(min(left, col_left[j]) + 1):
                 fill_cell(j + 1, row_acc + [v], left - v)
 
         fill_cell(0, [], target)

@@ -202,15 +202,6 @@ def descent_composition(sigma) -> tuple[int, ...]:
     return tuple(p for p in parts if p)
 
 
-def refinements(alpha) -> list[tuple[int, ...]]:
-    """All compositions refining alpha (alpha itself included)."""
-    alpha = tuple(alpha)
-    out = [()]
-    for part in alpha:
-        out = [pre + comp for pre in out for comp in compositions_of(part)]
-    return out
-
-
 def coarsenings(alpha) -> list[tuple[int, ...]]:
     """All compositions obtained by merging adjacent parts of alpha."""
     alpha = tuple(alpha)

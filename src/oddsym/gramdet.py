@@ -2,10 +2,10 @@
 determinant-degree formula, degenerate-locus factor multiplicities, and
 radical ranks at specialized q.
 
-The determinant row order is the lexicographic composition order; since the
-analysis only uses the degree, |leading coefficient| and factor
-multiplicities, the order-dependent sign is normalized away by making the
-leading coefficient positive.
+Compositions label rows and columns in the appendix layout, grouped by their
+underlying partition.  Rows and columns move together, so the determinant
+and the ranks do not depend on the order; the determinant is normalized to
+a positive leading coefficient.
 """
 
 import json
@@ -19,26 +19,20 @@ from .polyq import QPoly, det_by_interpolation, det_exact, divide_out, rank_exac
 GENERIC_DET_BOUND = 6
 
 
-def composition_labels(n: int, order: str = "lex") -> list[tuple[int, ...]]:
-    """Row labels: plain lexicographic, or the appendix layout that groups
-    compositions by their underlying partition."""
-    comps = list(compositions_of(n))
-    if order == "lex":
-        return comps
-    if order == "appendix":
-        return sorted(comps, key=lambda a: (sort_to_partition(a), a))
-    raise ValueError(f"unknown order {order!r}")
+def composition_labels(n: int) -> list[tuple[int, ...]]:
+    """Row labels in the appendix layout: compositions grouped by their
+    underlying partition, lexicographic within a group."""
+    return sorted(compositions_of(n), key=lambda a: (sort_to_partition(a), a))
 
 
-def gram_matrix(n: int, q="generic", basis: str = "compositions",
-                order: str = "lex"):
+def gram_matrix(n: int, q="generic", basis: str = "compositions"):
     """(labels, rows) for the degree-n Gram matrix of the pairing.
 
     q is "generic" (QPoly entries) or an integer; the basis indexes rows and
     columns by compositions or by partitions.
     """
     if basis == "compositions":
-        labels = composition_labels(n, order)
+        labels = composition_labels(n)
     elif basis == "partitions":
         labels = list(partitions_of(n))
     else:

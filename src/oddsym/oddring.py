@@ -133,17 +133,6 @@ class OddElt:
     def coefficient(self, part) -> int:
         return self.terms.get(tuple(part), 0)
 
-    def to_json_dict(self) -> dict:
-        return {",".join(map(str, p)): c for p, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OddElt":
-        terms = {}
-        for key, coeff in d.items():
-            part = tuple(int(x) for x in key.split(",")) if key else ()
-            terms[part] = coeff
-        return cls(terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -204,7 +193,6 @@ def e_elt(parts) -> OddElt:
 # pairing and the Gram route
 
 
-@lru_cache(maxsize=None)
 def gram_h(n: int) -> tuple[tuple[int, ...], ...]:
     """Partition-basis Gram matrix (h_lam, h_mu) at q = -1, ascending lex."""
     parts = partitions_of(n)

@@ -8,6 +8,7 @@ Both transpose two letters, so each move flips the word sign; the odd
 plactic ring imposes the same relations with a coefficient of -1.
 """
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 
@@ -24,41 +25,40 @@ from .combinat import (
 RskPair = namedtuple("RskPair", ["insertion", "recording"])
 
 
-def row_insert(tab: Tableau, x: int) -> tuple[Tableau, tuple[int, int]]:
-    """Schensted row insertion: bump the leftmost entry greater than x.
-
-    Returns the new tableau and the (row, col) position of the added box,
-    0-indexed.
-    """
-    rows = [list(r) for r in tab.rows]
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([x])
-            return Tableau(rows), (i, 0)
-        row = rows[i]
-        j = next((j for j, y in enumerate(row) if y > x), None)
-        if j is None:
+def _bump(rows: list[list[int]], x: int) -> tuple[int, int]:
+    """Schensted row insertion in place: bump the leftmost entry greater
+    than x.  Returns the (row, col) of the added box, 0-indexed."""
+    for i, row in enumerate(rows):
+        j = bisect_right(row, x)
+        if j == len(row):
             row.append(x)
-            return Tableau(rows), (i, len(row) - 1)
+            return i, j
         row[j], x = x, row[j]
-        i += 1
+    rows.append([x])
+    return len(rows) - 1, 0
+
+
+def row_insert(tab: Tableau, x: int) -> tuple[Tableau, tuple[int, int]]:
+    """Row insertion into a copy of the tableau; returns the new tableau and
+    the position of the added box."""
+    rows = [list(r) for r in tab.rows]
+    pos = _bump(rows, x)
+    return Tableau(rows), pos
 
 
 def insert_word(word) -> tuple[Tableau, int]:
     """Insert the letters of a word successively into the empty tableau.
 
     Returns the insertion tableau and the number of elementary Knuth moves
-    performed: a bump through row j of current length L contributes L - 1.
+    performed: a bump through row j of length L contributes L - 1 (a bump
+    leaves the lengths of the rows it passes through unchanged).
     """
-    tab = Tableau([])
+    rows: list[list[int]] = []
     moves = 0
     for x in word:
-        lengths = tab.shape
-        new_tab, (r, _) = row_insert(tab, x)
-        moves += sum(lengths[j] - 1 for j in range(r))
-        tab = new_tab
-    return tab, moves
+        r, _ = _bump(rows, x)
+        moves += sum(len(rows[j]) - 1 for j in range(r))
+    return Tableau(rows), moves
 
 
 def knuth_normalize(word) -> tuple[Tableau, int]:
@@ -122,14 +122,14 @@ def rsk(matrix) -> RskPair:
     """RSK bijection.  The insertion tableau has the column sums as content,
     the recording tableau the row sums."""
     u, v = two_line_array(matrix)
-    p = Tableau([])
+    p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for uk, vk in zip(u, v):
-        p, (r, _) = row_insert(p, vk)
+        r, _ = _bump(p_rows, vk)
         if r == len(q_rows):
             q_rows.append([])
         q_rows[r].append(uk)
-    return RskPair(p, Tableau(q_rows))
+    return RskPair(Tableau(p_rows), Tableau(q_rows))
 
 
 def odd_rsk_check(mu, rho) -> dict:

@@ -26,7 +26,9 @@ def basis_matrix_entry_by_enumeration(kind: str, lam, mu) -> int:
     """(x_lam, y_mu) at q = -1 as a signed count of margin matrices:
     {0,1}-matrices for (e,h), N-matrices for (h,h), and N-matrices with the
     cable sign for (e,e)."""
-    mats = matrices_with_margins(lam, mu, zero_one=(kind == "eh"))
+    mats = matrices_with_margins(lam, mu)
+    if kind == "eh":
+        mats = [m for m in mats if all(x <= 1 for row in m for x in row)]
     if kind == "ee":
         return sum(matrix_sign(m) * cable_sign(m) for m in mats)
     return sum(matrix_sign(m) for m in mats)

@@ -166,6 +166,16 @@ class TestDualBases:
             assert pair_words_odd(h_word(lam), m9) == want, lam
             assert pair_words_odd(e_word(lam), f9) == want, lam
 
+    def test_forgotten_dual_to_e_words(self):
+        # (e_lam, f_mu) = delta under the colored pairing of e-words, which
+        # uses neither the inverse e-change of basis nor the inverse Gram
+        for n in range(1, 8):
+            parts = partitions_of(n)
+            for mu in parts:
+                f = {h_word(p): c for p, c in forgotten(mu).terms.items()}
+                for lam in parts:
+                    assert pair_words_odd(e_word(lam), f) == (lam == mu), (lam, mu)
+
     def test_power_sum_is_single_row_monomial(self):
         for n in range(1, 9):
             assert power_sum(n) == monomial((n,))

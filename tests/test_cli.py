@@ -280,6 +280,23 @@ class TestExitCodes:
         assert "q: multiplicity 5 (listed 6) FAIL" in out
         assert json.loads(out.splitlines()[-1])["factors"]["ok"] is False
 
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_tables_out_path_blocked_by_a_file(self, tmp_path, capsys, below):
+        # --out is an existing file (FileExistsError) or lies under one
+        # (NotADirectoryError): one error line and exit 2, no traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--appendix", "--out", str(blocker.joinpath(*below))])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_tables_takes_no_format(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--appendix", "--out", str(tmp_path), "--format", "csv"])
+        assert exc.value.code == 2
+
     def test_det_degree_bound(self):
         with pytest.raises(SystemExit) as exc:
             main(["det", "--degree", "9"])

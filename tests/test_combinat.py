@@ -179,13 +179,6 @@ class TestMarginMatrices:
         assert len(matrices_with_margins((2, 2), (2, 1, 1))) == 4
         assert len(matrices_with_margins((3, 2), (2, 2, 1))) == 5
 
-    def test_zero_one_subset(self):
-        for rows, cols in [((2, 2), (2, 1, 1)), ((3, 1), (2, 2)), ((2, 1), (1, 1, 1))]:
-            all_mats = matrices_with_margins(rows, cols)
-            zo = matrices_with_margins(rows, cols, zero_one=True)
-            assert set(zo) <= set(all_mats)
-            assert all(all(x <= 1 for r in m for x in r) for m in zo)
-
     def test_margins_respected(self):
         for m in matrices_with_margins((3, 2), (2, 2, 1)):
             assert tuple(sum(r) for r in m) == (3, 2)

@@ -25,7 +25,6 @@ from oddsym.form import (
     pair_htilde,
     pair_words_generic,
     pair_words_odd,
-    refinements,
 )
 from oddsym.polyq import ONE, QPoly
 
@@ -251,7 +250,6 @@ class TestDescentMachinery:
 
     def test_refinements_and_coarsenings(self):
         assert set(coarsenings((1, 2))) == {(1, 2), (3,)}
-        assert set(refinements((3,))) == {(3,), (1, 2), (2, 1), (1, 1, 1)}
         for alpha in compositions_of(5):
             assert len(coarsenings(alpha)) == 2 ** (len(alpha) - 1)
 

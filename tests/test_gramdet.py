@@ -53,7 +53,7 @@ class TestGramMatrix:
         ]
 
     def test_appendix_order(self):
-        assert composition_labels(4, "appendix") == [
+        assert composition_labels(4) == [
             (1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1),
             (2, 2), (1, 3), (3, 1), (4,),
         ]
@@ -73,8 +73,6 @@ class TestGramMatrix:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             gram_matrix(3, basis="nope")
-        with pytest.raises(ValueError):
-            composition_labels(3, "nope")
 
 
 class TestDeterminant:
@@ -97,6 +95,18 @@ class TestDeterminant:
         for n in range(2, 7):
             _, rows = gram_matrix(n, q=2)
             assert gram_det(n).evaluate(2) in (det_exact(rows), -det_exact(rows))
+
+    def test_matches_bareiss_on_lex_order(self):
+        # the appendix layout permutes rows and columns together, so the
+        # lexicographically ordered matrix has the same determinant
+        from oddsym.combinat import compositions_of
+        from oddsym.form import pair_h_generic
+        from oddsym.polyq import det_exact
+
+        for n in range(1, 6):
+            comps = compositions_of(n)
+            det = det_exact([[pair_h_generic(b, a) for a in comps] for b in comps])
+            assert gram_det(n) == (det if det.leading_coefficient() > 0 else -det), n
 
     def test_bound(self):
         with pytest.raises(ValueError):

@@ -309,10 +309,6 @@ class TestEBasis:
                 y = e_elt(lam)
                 assert e_coordinates(y) == {lam: 1} if lam else {(): 1}
 
-    def test_json_round_trip(self):
-        x = h_elt((3, 1)) - h_elt((2, 2)).scale(2)
-        assert OddElt.from_json_dict(x.to_json_dict()) == x
-
 
 class TestSemiOrthogonality:
     @pytest.mark.parametrize("n", range(1, 7))

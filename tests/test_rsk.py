@@ -1,6 +1,9 @@
+import operator
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oddsym
 from oddsym.bases import kostka, kostka_unsigned
@@ -50,6 +53,26 @@ class TestRowInsertion:
             word = [rng.randint(1, 5) for _ in range(rng.randint(1, 10))]
             t, _ = insert_word(word)
             assert t.is_semistandard()
+
+
+def _longest_chain(word, related) -> int:
+    """Length of the longest subsequence whose consecutive letters x, y
+    satisfy related(x, y)."""
+    best: list[int] = []
+    for i, y in enumerate(word):
+        best.append(1 + max((best[j] for j in range(i) if related(word[j], y)),
+                            default=0))
+    return max(best, default=0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(1, 6), max_size=12))
+def test_schensted_theorem(word):
+    # first row = longest weakly increasing subsequence, number of rows =
+    # longest strictly decreasing subsequence
+    shape = insert_word(word)[0].shape
+    assert (shape[0] if shape else 0) == _longest_chain(word, operator.le)
+    assert len(shape) == _longest_chain(word, operator.gt)
 
 
 class TestRsk:
