@@ -1,26 +1,37 @@
 """Batch command-line interface: pairings, expansions, tables, RSK, the
 determinant analysis, and the verification suites.
 
-Exit codes: 0 all requested checks pass, 1 verification failure (a JSON
-witness goes to stdout), 2 usage error or an output path that cannot be
-written.
+Each subcommand bounds its sized inputs where it parses them, before any
+work.  Exit codes: 0 all requested checks pass, 1 verification failure (a
+JSON witness goes to stdout), 2 usage error, input out of bound, or an
+output path that cannot be written.
 """
 
 import argparse
 import csv
 import io
 import json
+import pathlib
 import sys
+from importlib import resources
 
 from . import bases, form, gramdet, hopf, oddring
-from .combinat import is_partition, partitions_of
+from .combinat import is_partition, matrix_sign, partitions_of, shape_sign
 from .polyq import QPoly
 from .rsk import rsk as rsk_map
 from .rsk import rsk_verify_degree, sign_theorem_check
 
-# The largest word degree that any entry of BOUNDS admits.  Every part is at
-# least 1, so parse_parts rejects a longer k^m run before building it.
+# The pair word degree bound at q = -1, the largest degree bound.  Every part
+# is at least 1, so parse_parts rejects a longer k^m run before building it.
 MAX_WORD_DEGREE = 16
+
+VERIFY_MAX_DEGREE = {"hopf": 9, "schur": 8, "rsk": 7, "semiorth": 10,
+                     "primitives": 10, "all": 7}
+
+
+def _bound(what: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} must be in {lo}..{hi}")
 
 
 def parse_parts(text: str) -> tuple[int, ...]:
@@ -162,20 +173,24 @@ def _pair_words(args):
     return mk(parse_parts(args.left)), mk(parse_parts(args.right))
 
 
-def _at_minus_one(args) -> bool:
-    return args.q != "generic" and int(args.q) == -1
-
-
 def cmd_pair(args) -> int:
     q = args.q
+    odd = q != "generic" and int(q) == -1
     left, right = _pair_words(args)
-    if q == "generic":
-        value = form.pair_words_generic(left, right)
-        payload = list(value.coeffs)
-    elif _at_minus_one(args):
+    degree = max(form.word_degree(left), form.word_degree(right))
+    if odd:
+        _bound("word degree at q = -1", degree, 0, MAX_WORD_DEGREE)
         value = payload = form.pair_words_odd(left, right)
     else:
-        value = payload = form.pair_words_generic(left, right).evaluate(int(q))
+        # the generic route expands each e_n into its 2^(n-1) h-words
+        _bound("word degree", degree, 0, 10)
+        _bound("log2 of the e-letter expansion",
+               sum(n - 1 for n, c in left + right if c == form.E), 0, 10)
+        value = form.pair_words_generic(left, right)
+        if q == "generic":
+            payload = list(value.coeffs)
+        else:
+            value = payload = value.evaluate(int(q))
     shown = str(value)
     if args.format == "json":
         print(json.dumps({"left": args.left, "right": args.right, "q": q,
@@ -191,6 +206,7 @@ def cmd_pair(args) -> int:
 def cmd_expand(args) -> int:
     what = args.what
     index = parse_parts(args.index)
+    _bound("index degree", sum(index), 0, 9)
     if what == "htilde":
         if args.in_basis != "h":
             raise ValueError("htilde expands over h-words only")
@@ -202,7 +218,7 @@ def cmd_expand(args) -> int:
         "m": bases.monomial,
         "f": bases.forgotten,
         "s": bases.schur,
-        "p": lambda p: bases.power_sum(p[0]) if len(p) == 1 else None,
+        "p": lambda p: bases.power_sum(p[0]),
     }
     if what == "p" and len(index) != 1:
         raise ValueError("power sums are indexed by a single integer")
@@ -217,6 +233,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_kostka(args) -> int:
+    _bound("degree", args.degree, 1, 8)
     parts, rows = bases.kostka_matrix(args.degree)
     emit_table(args, parts, parts, rows,
                f"signed Kostka numbers, degree {args.degree} (rows = shape)")
@@ -224,6 +241,7 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    _bound("degree", args.degree, 1, 8)
     labels, rows = gramdet.gram_matrix(args.degree, q=args.q, basis=args.basis)
     title = "" if args.format == "json" else (
         f"Gram matrix, degree {args.degree}, q = {args.q}")
@@ -235,6 +253,7 @@ def cmd_rsk(args) -> int:
     if (args.matrix is None) == (args.verify is None):
         raise ValueError("pass exactly one of --matrix or --verify")
     if args.verify is not None:
+        _bound("verify degree", args.verify, 1, 7)
         report = rsk_verify_degree(args.verify)
         if args.format == "json":
             flat = [e for cls in report["classes"] for e in cls["matrices"]]
@@ -255,9 +274,9 @@ def cmd_rsk(args) -> int:
             return 1
         return 0
     matrix = parse_matrix(args.matrix)
+    _bound("matrix weight", sum(map(sum, matrix)), 0, 1000)
+    _bound("matrix entry count", sum(map(len, matrix)), 1, 1000)
     pair = rsk_map(matrix)
-    from .combinat import matrix_sign, shape_sign
-
     payload = {
         "matrix": matrix,
         "P": pair.insertion.to_lists(),
@@ -283,17 +302,18 @@ def cmd_rsk(args) -> int:
 
 def cmd_det(args) -> int:
     n = args.degree
+    _bound("degree", n, 2, gramdet.GENERIC_DET_BOUND)
     report = gramdet.det_degree_check(n)
     payload = {"degree_check": report}
     ok = report["ok"]
     if args.factors:
         payload["factors"] = gramdet.factor_multiplicity_check(n)
         ok = ok and payload["factors"]["ok"]
+    det = gramdet.gram_det(n)
     if args.format == "json":
-        payload["determinant"] = list(gramdet.gram_det(n).coeffs)
+        payload["determinant"] = list(det.coeffs)
         print(json.dumps(payload))
     else:
-        det = gramdet.gram_det(n)
         print(f"det degree {report['det_degree']} (formula {report['formula']}), "
               f"leading coefficient {report['leading_coefficient']}: "
               f"{'ok' if report['ok'] else 'FAIL'}")
@@ -347,6 +367,8 @@ def run_suite(suite: str, max_degree: int):
 
 
 def cmd_verify(args) -> int:
+    _bound(f"max degree of suite {args.suite}", args.max_degree, 1,
+           VERIFY_MAX_DEGREE[args.suite])
     failures = []
     results = []
     for name, witness in run_suite(args.suite, args.max_degree):
@@ -367,8 +389,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    import pathlib
-
     if not args.appendix:
         raise ValueError("nothing to do: pass --appendix")
     out = pathlib.Path(args.out)
@@ -401,8 +421,6 @@ def cmd_tables(args) -> int:
     write_expansions("forgotten_expansions.csv", upto4, bases.forgotten)
     write_expansions("schur_expansions.csv", upto5, bases.schur)
 
-    from importlib import resources
-
     data = resources.files("oddsym.data").joinpath("degenerate_factors.json").read_text()
     (out / "degenerate_factors.json").write_text(data)
     print(f"wrote appendix tables to {out}")
@@ -419,16 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("plain", "csv", "json"),
-                       default="plain")
+    def add_format(p, with_csv=False):
+        formats = ("plain", "csv", "json") if with_csv else ("plain", "json")
+        p.add_argument("--format", choices=formats, default="plain")
 
     p = sub.add_parser("pair", help="bilinear form of two basis words")
     p.add_argument("--basis", choices=("h", "e", "mixed"), default="h")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--q", default="generic")
-    add_format(p)
+    add_format(p, with_csv=True)
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("expand", help="expand a named element in a basis")
@@ -437,12 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--in-basis", dest="in_basis", choices=("h", "e"),
                    default="h")
-    add_format(p)
+    add_format(p, with_csv=True)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("kostka", help="signed Kostka table for one degree")
     p.add_argument("--degree", type=int, required=True)
-    add_format(p)
+    add_format(p, with_csv=True)
     p.set_defaults(func=cmd_kostka)
 
     p = sub.add_parser("gram", help="Gram matrix of the pairing")
@@ -450,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="generic")
     p.add_argument("--basis", choices=("compositions", "partitions"),
                    default="compositions")
-    add_format(p)
+    add_format(p, with_csv=True)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("rsk", help="RSK of a matrix, or exhaustive sign check")
@@ -480,62 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pair_stat(odd: bool, stat):
-    return lambda a: stat(_pair_words(a)) if _at_minus_one(a) == odd else None
-
-
-def _degree(words) -> int:
-    return max(map(form.word_degree, words))
-
-
-def _expansion_log2(words) -> int:
-    """log2 of the h-word pairs that the generic route expands the words
-    into: e_n has 2^(n-1) h-words."""
-    return sum(n - 1 for word in words for n, c in word if c == form.E)
-
-
-def _matrix_stat(stat):
-    return lambda a: None if a.matrix is None else stat(parse_matrix(a.matrix))
-
-
-VERIFY_MAX_DEGREE = {"hopf": 9, "schur": 8, "rsk": 7, "semiorth": 10,
-                     "primitives": 10, "all": 7}
-
-# Every subcommand's sized inputs as (what, reader, lowest, highest), each
-# bound keeping the answer within seconds.  A reader takes the parsed
-# arguments and returns None where its bound does not apply.
-BOUNDS = {
-    "pair": (
-        ("word degree at q = -1", _pair_stat(True, _degree), 0, MAX_WORD_DEGREE),
-        ("word degree", _pair_stat(False, _degree), 0, 10),
-        ("log2 of the e-letter expansion", _pair_stat(False, _expansion_log2), 0, 10),
-    ),
-    "expand": (("index degree", lambda a: sum(parse_parts(a.index)), 0, 9),),
-    "kostka": (("degree", lambda a: a.degree, 1, 8),),
-    "gram": (("degree", lambda a: a.degree, 1, 8),),
-    "rsk": (
-        ("verify degree", lambda a: a.verify, 1, 7),
-        ("matrix weight", _matrix_stat(lambda m: sum(map(sum, m))), 0, 1000),
-        ("matrix entry count", _matrix_stat(lambda m: sum(map(len, m))), 1, 1000),
-    ),
-    "det": (("degree", lambda a: a.degree, 2, gramdet.GENERIC_DET_BOUND),),
-    "verify": tuple(
-        (f"max degree of suite {suite}",
-         lambda a, suite=suite: a.max_degree if a.suite == suite else None, 1, hi)
-        for suite, hi in VERIFY_MAX_DEGREE.items()
-    ),
-    "tables": (),
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for what, read, lo, hi in BOUNDS[args.command]:
-            value = read(args)
-            if value is not None and not lo <= value <= hi:
-                raise ValueError(f"{what} must be in {lo}..{hi}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -4,14 +4,7 @@ import random
 import pytest
 
 from oddsym import form, hopf
-from oddsym.cli import (
-    BOUNDS,
-    MAX_WORD_DEGREE,
-    build_parser,
-    main,
-    parse_colored,
-    parse_parts,
-)
+from oddsym.cli import MAX_WORD_DEGREE, main, parse_colored, parse_parts
 
 
 def random_composition(rng, n):
@@ -292,14 +285,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_tables_takes_no_format(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables", "--appendix"],
+            ["rsk", "--verify", "2"],
+            ["det", "--degree", "2"],
+            ["verify", "--suite", "rsk", "--max-degree", "2"],
+        ],
+    )
+    def test_takes_no_csv_format(self, monkeypatch, tmp_path, argv):
+        # tables takes no --format; rsk, det and verify render plain or json
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["tables", "--appendix", "--out", str(tmp_path), "--format", "csv"])
-        assert exc.value.code == 2
-
-    def test_det_degree_bound(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["det", "--degree", "9"])
+            main([*argv, "--format", "csv"])
         assert exc.value.code == 2
 
     def test_unknown_subcommand(self):
@@ -355,16 +354,6 @@ class TestExitCodes:
         assert err.startswith("error: repeat count in") and err.count("\n") == 1
         assert err.endswith(f"must be in 1..{MAX_WORD_DEGREE}\n")
 
-    def test_repeat_count_bound_is_the_largest_degree_bound(self):
-        assert MAX_WORD_DEGREE == max(
-            hi for bounds in BOUNDS.values() for what, _, _, hi in bounds
-            if "degree" in what
-        )
-
-    def test_bounds_cover_every_subcommand(self):
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        assert set(BOUNDS) == set(sub.choices)
-
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -387,6 +376,12 @@ class TestExitCodes:
              "max degree of suite all must be in 1..7"),
             (["verify", "--suite", "rsk", "--max-degree", "0"],
              "max degree of suite rsk must be in 1..7"),
+            (["kostka", "--degree", "9"], "degree must be in 1..8"),
+            (["gram", "--degree", "0"], "degree must be in 1..8"),
+            (["det", "--degree", "1"], "degree must be in 2..6"),
+            (["det", "--degree", "7"], "degree must be in 2..6"),
+            (["det", "--degree", "9"], "degree must be in 2..6"),
+            (["rsk", "--verify", "8"], "verify degree must be in 1..7"),
         ],
     )
     def test_out_of_bound_input(self, capsys, argv, message):

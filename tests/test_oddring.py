@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from oddsym.combinat import compositions_of, partitions_of, transpose
 from oddsym.form import E, H, e_word, h_word, pair_words_odd
+from oddsym.hopf import antipode
 from oddsym.oddring import (
     OddElt,
     coproduct,
@@ -38,6 +39,16 @@ def elements(degrees):
 def h_words(x: OddElt) -> dict:
     """x as a combination of free h-words, for the colored pairing."""
     return {h_word(lam): c for lam, c in x.terms.items()}
+
+
+def coproduct_in_slot(delta: dict, slot: int) -> dict:
+    """(Delta (x) 1) of a tensor for slot 0, (1 (x) Delta) for slot 1."""
+    out = {}
+    for pair_, c in delta.items():
+        for (a, b), c2 in coproduct(OddElt({pair_[slot]: 1})).items():
+            key = pair_[:slot] + (a, b) + pair_[slot + 1:]
+            out[key] = out.get(key, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
 
 
 class TestStraightening:
@@ -122,6 +133,11 @@ class TestRingStructure:
                 for c in range(1, 10 - a - b):
                     x, y, z = h_elt((a,)), h_elt((b,)), h_elt((c,))
                     assert (x * y) * z == x * (y * z), (a, b, c)
+
+    @PROPERTY
+    @given(elements(range(4)), elements(range(4)), elements(range(4)))
+    def test_associativity(self, x, y, z):
+        assert (x * y) * z == x * (y * z)
 
     def test_defining_relations_h(self):
         # even sums commute; odd sums satisfy the four-term relation
@@ -268,20 +284,24 @@ class TestCoproduct:
     def test_coassociativity(self):
         for n in range(6):
             for lam in partitions_of(n):
-                x = h_elt(lam)
-                left = {}
-                for (p1, p2), c in coproduct(x).items():
-                    for (a, b), c2 in coproduct(OddElt({p1: 1})).items():
-                        key = (a, b, p2)
-                        left[key] = left.get(key, 0) + c * c2
-                right = {}
-                for (p1, p2), c in coproduct(x).items():
-                    for (a, b), c2 in coproduct(OddElt({p2: 1})).items():
-                        key = (p1, a, b)
-                        right[key] = right.get(key, 0) + c * c2
-                assert {k: v for k, v in left.items() if v} == {
-                    k: v for k, v in right.items() if v
-                }, lam
+                delta = coproduct(h_elt(lam))
+                assert coproduct_in_slot(delta, 0) == coproduct_in_slot(delta, 1), lam
+
+    @PROPERTY
+    @given(elements(range(7)))
+    def test_coassociativity_on_random_elements(self, x):
+        delta = coproduct(x)
+        assert coproduct_in_slot(delta, 0) == coproduct_in_slot(delta, 1)
+
+    @PROPERTY
+    @given(elements(range(6)))
+    def test_antipode_axiom(self, x):
+        # m(S (x) 1) Delta x = counit(x) 1, the counit reading off the h_() term
+        got = linear_combination(
+            (c, antipode(OddElt({p1: 1})) * OddElt({p2: 1}))
+            for (p1, p2), c in coproduct(x).items()
+        )
+        assert got == OddElt.one().scale(x.coefficient(()))
 
     def test_adjointness_small(self):
         for lam in partitions_of(4):
