@@ -33,9 +33,10 @@ def kostka(lam, mu) -> int:
     return superstandard(lam).sign() * total
 
 
-def kostka_unsigned(lam, mu) -> int:
-    """Plain SSYT count (the q = 1 Kostka number)."""
-    return len(ssyt(tuple(lam), tuple(mu)))
+@lru_cache(maxsize=None)
+def kostka_unsigned(lam: tuple, mu: tuple) -> int:
+    """Plain SSYT count (the q = 1 Kostka number), memoized on tuples."""
+    return len(ssyt(lam, mu))
 
 
 @lru_cache(maxsize=None)

@@ -16,10 +16,10 @@ import sys
 from importlib import resources
 
 from . import bases, form, gramdet, hopf, oddring
-from .combinat import is_partition, matrix_sign, partitions_of, shape_sign
+from .combinat import is_partition, partitions_of
 from .polyq import QPoly
 from .rsk import rsk as rsk_map
-from .rsk import rsk_verify_degree, sign_theorem_check
+from .rsk import rsk_verify_degree, sign_record, sign_theorem_check
 
 # The pair word degree bound at q = -1, the largest degree bound.  Every part
 # is at least 1, so parse_parts rejects a longer k^m run before building it.
@@ -34,6 +34,22 @@ def _bound(what: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{what} must be in {lo}..{hi}")
 
 
+def _int(token: str, expected: str, text: str) -> int:
+    """int(token), or a ValueError that names the expected form and echoes
+    the whole input text."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"expected {expected}: {text!r}") from None
+
+
+def parse_q(text: str):
+    """--q: "generic" or an integer."""
+    if text == "generic":
+        return text
+    return _int(text, "generic or an integer for q", text)
+
+
 def parse_parts(text: str) -> tuple[int, ...]:
     """Comma-separated positive integers; k^m shorthand for m copies of k,
     with 1 <= m <= MAX_WORD_DEGREE.
@@ -43,18 +59,19 @@ def parse_parts(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text or text == "0":
         return ()
+    expected = "comma-separated positive integers, k^m for m copies of k"
     parts: list[int] = []
     for token in text.split(","):
         token = token.strip()
         if "^" in token:
             base, _, count = token.partition("^")
-            m = int(count)
+            m = _int(count, expected, text)
             if not 1 <= m <= MAX_WORD_DEGREE:
                 raise ValueError(
                     f"repeat count in {token!r} must be in 1..{MAX_WORD_DEGREE}")
-            parts.extend([int(base)] * m)
+            parts.extend([_int(base, expected, text)] * m)
         else:
-            parts.append(int(token))
+            parts.append(_int(token, expected, text))
     if any(p < 1 for p in parts):
         raise ValueError(f"parts must be positive: {text!r}")
     return tuple(parts)
@@ -62,15 +79,16 @@ def parse_parts(text: str) -> tuple[int, ...]:
 
 def parse_colored(text: str):
     """Mixed word: tokens like e2 or h3 (plain integers default to h)."""
+    expected = "comma-separated letters e<n>, h<n> or <n> (an h)"
     word = []
     for token in text.split(","):
         token = token.strip()
         if token.startswith(("e", "h")):
             color = form.E if token[0] == "e" else form.H
-            n = int(token[1:])
+            n = _int(token[1:], expected, text)
         else:
             color = form.H
-            n = int(token)
+            n = _int(token, expected, text)
         if n < 1:
             raise ValueError(f"letter subscripts must be positive: {text!r}")
         word.append((n, color))
@@ -79,7 +97,10 @@ def parse_colored(text: str):
 
 def parse_matrix(text: str) -> list[list[int]]:
     """JSON list of equal-length rows of non-negative integers."""
-    matrix = json.loads(text)
+    try:
+        matrix = json.loads(text)
+    except ValueError:
+        matrix = None
     if (
         not isinstance(matrix, list)
         or not matrix
@@ -174,8 +195,8 @@ def _pair_words(args):
 
 
 def cmd_pair(args) -> int:
-    q = args.q
-    odd = q != "generic" and int(q) == -1
+    q = parse_q(args.q)
+    odd = q == -1
     left, right = _pair_words(args)
     degree = max(form.word_degree(left), form.word_degree(right))
     if odd:
@@ -190,14 +211,14 @@ def cmd_pair(args) -> int:
         if q == "generic":
             payload = list(value.coeffs)
         else:
-            value = payload = value.evaluate(int(q))
+            value = payload = value.evaluate(q)
     shown = str(value)
     if args.format == "json":
-        print(json.dumps({"left": args.left, "right": args.right, "q": q,
+        print(json.dumps({"left": args.left, "right": args.right, "q": args.q,
                           "value": payload}))
     elif args.format == "csv":
         print("left,right,q,value")
-        print(f'"{args.left}","{args.right}",{q},"{shown}"')
+        print(f'"{args.left}","{args.right}",{args.q},"{shown}"')
     else:
         print(shown)
     return 0
@@ -242,7 +263,7 @@ def cmd_kostka(args) -> int:
 
 def cmd_gram(args) -> int:
     _bound("degree", args.degree, 1, 8)
-    labels, rows = gramdet.gram_matrix(args.degree, q=args.q, basis=args.basis)
+    labels, rows = gramdet.gram_matrix(args.degree, parse_q(args.q), args.basis)
     title = "" if args.format == "json" else (
         f"Gram matrix, degree {args.degree}, q = {args.q}")
     emit_table(args, labels, labels, rows, title)
@@ -276,21 +297,12 @@ def cmd_rsk(args) -> int:
     matrix = parse_matrix(args.matrix)
     _bound("matrix weight", sum(map(sum, matrix)), 0, 1000)
     _bound("matrix entry count", sum(map(len, matrix)), 1, 1000)
-    pair = rsk_map(matrix)
-    payload = {
-        "matrix": matrix,
-        "P": pair.insertion.to_lists(),
-        "Q": pair.recording.to_lists(),
-        "sign_A": matrix_sign(matrix),
-        "sign_P": pair.insertion.sign(),
-        "sign_Q": pair.recording.sign(),
-        "shape_sign": shape_sign(pair.insertion.shape),
-    }
+    payload = sign_record(matrix, rsk_map(matrix))
     if args.format == "json":
         print(json.dumps(payload))
     else:
-        print("P:", pair.insertion.to_lists())
-        print("Q:", pair.recording.to_lists())
+        print("P:", payload["P"])
+        print("Q:", payload["Q"])
         print(
             "sign(A) =", payload["sign_A"],
             " sign(P) =", payload["sign_P"],

@@ -13,7 +13,13 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import bases, oddring
-from .combinat import partitions_of, sw_ne_pairs, transpose, triangular_sum
+from .combinat import (
+    partitions_of,
+    reverse_sort_sign,
+    sw_ne_pairs,
+    transpose,
+    triangular_sum,
+)
 from .oddring import OddElt, coproduct, e_elt, h_elt, linear_combination, pair
 from .polyq import kernel_basis
 
@@ -177,8 +183,6 @@ def generating_function_check(n: int) -> list:
 def schur_action_check(n: int) -> list:
     """reverse(s_lam) = eta_lam s_lam and
     omega_sign_twist(s_lam) = (-1)^(l(w_lam)+|lam|) s_lam^T."""
-    from .combinat import reverse_sort_sign
-
     failures = []
     for lam in partitions_of(n):
         s = bases.schur(lam)

@@ -22,8 +22,8 @@ Linear combinations of elements are summed in one dict (linear_combination).
 
 from functools import lru_cache
 
-from . import form
-from .combinat import is_partition, partitions_of, transpose
+from . import form, gramdet
+from .combinat import compositions_of, is_partition, partitions_of, sw_ne_pairs, transpose
 from .polyq import unimodular_inverse
 
 
@@ -193,12 +193,9 @@ def e_elt(parts) -> OddElt:
 # pairing and the Gram route
 
 
-def gram_h(n: int) -> tuple[tuple[int, ...], ...]:
+def gram_h(n: int) -> list[list[int]]:
     """Partition-basis Gram matrix (h_lam, h_mu) at q = -1, ascending lex."""
-    parts = partitions_of(n)
-    return tuple(
-        tuple(form.pair_h_at(lam, mu, -1) for mu in parts) for lam in parts
-    )
+    return gramdet.gram_matrix(n, q=-1, basis="partitions")[1]
 
 
 @lru_cache(maxsize=None)
@@ -347,8 +344,6 @@ def semiorthogonality_check(n: int) -> list:
     (h_lam, e_alpha) = (e_lam, h_alpha) = 0 for alpha > lam^T lexicographic;
     returns the failures.
     """
-    from .combinat import compositions_of, sw_ne_pairs
-
     failures = []
     for lam in partitions_of(n):
         lt = transpose(lam)

@@ -10,10 +10,9 @@ plactic ring imposes the same relations with a coefficient of -1.
 
 from bisect import bisect_right
 from collections import namedtuple
-from functools import lru_cache
 
 from . import form
-from .bases import kostka_matrix
+from .bases import kostka_matrix, kostka_unsigned
 from .combinat import (
     Tableau,
     matrices_with_margins,
@@ -132,60 +131,57 @@ def rsk(matrix) -> RskPair:
     return RskPair(Tableau(p_rows), Tableau(q_rows))
 
 
+def sign_record(matrix, pair: RskPair) -> dict:
+    """The signs of one N-matrix and its RSK image: the record that
+    `rsk --matrix` prints and odd_rsk_check keeps per matrix."""
+    p, q = pair
+    return {
+        "matrix": [list(r) for r in matrix],
+        "P": p.to_lists(),
+        "Q": q.to_lists(),
+        "sign_A": matrix_sign(matrix),
+        "sign_P": p.sign(),
+        "sign_Q": q.sign(),
+        "shape_sign": shape_sign(p.shape),
+    }
+
+
 def odd_rsk_check(mu, rho) -> dict:
     """Sign-tracked RSK over one margin class.
 
     For each N-matrix with row margins mu and column margins rho (partitions
-    of the same weight) checks
-    sign(A) = shape_sign(shape) * sign(P) * sign(Q), that the map is a
-    bijection onto same-shape SSYT pairs with contents (rho, mu), and that
-    the signed count aggregates to the (h,h) table entry.
+    of the same weight) checks sign(A) = shape_sign(shape) * sign(P) * sign(Q)
+    and that (P, Q) is a same-shape SSYT pair with contents (rho, mu).  The
+    map is then a bijection onto those pairs by counting: distinct images,
+    as many as sum_lam K0[lam][rho] K0[lam][mu] with K0 the plain SSYT
+    counts.  The signed count must equal the (h,h) entry and the Kostka sum.
     """
     mu, rho = tuple(mu), tuple(rho)
     entries = []
     images = set()
-    total = 0
     for a in matrices_with_margins(mu, rho):
-        p, q = rsk(a)
-        sa = matrix_sign(a)
-        sp, sq = p.sign(), q.sign()
-        ss = shape_sign(p.shape)
-        ok = (
-            sa == ss * sp * sq
+        p, q = pair = rsk(a)
+        e = sign_record(a, pair)
+        e["ok"] = (
+            e["sign_A"] == e["shape_sign"] * e["sign_P"] * e["sign_Q"]
             and p.shape == q.shape
             and p.is_semistandard()
             and q.is_semistandard()
             and p.content(len(rho)) == rho
             and q.content(len(mu)) == mu
         )
-        total += sa
-        images.add((p, q))
-        entries.append(
-            {
-                "matrix": [list(r) for r in a],
-                "P": p.to_lists(),
-                "Q": q.to_lists(),
-                "sign_A": sa,
-                "sign_P": sp,
-                "sign_Q": sq,
-                "shape_sign": ss,
-                "ok": ok,
-            }
-        )
-    expected_pairs = {
-        (p, q)
-        for lam in partitions_of(sum(mu))
-        for p in _ssyt_cached(lam, rho)
-        for q in _ssyt_cached(lam, mu)
-    }
-    bijective = len(images) == len(entries) and images == expected_pairs
-    aggregate = form.pair_h_at(mu, rho, -1)
+        images.add(pair)
+        entries.append(e)
     parts, table = kostka_matrix(sum(mu))
+    pairs = sum(kostka_unsigned(lam, rho) * kostka_unsigned(lam, mu) for lam in parts)
+    bijective = all(e["ok"] for e in entries) and len(images) == len(entries) == pairs
+    total = sum(e["sign_A"] for e in entries)
+    aggregate = form.pair_h_at(mu, rho, -1)
     m, r = parts.index(mu), parts.index(rho)
     kostka_sum = sum(
         shape_sign(lam) * row[m] * row[r] for lam, row in zip(parts, table)
     )
-    report = {
+    return {
         "mu": mu,
         "rho": rho,
         "matrices": entries,
@@ -193,18 +189,8 @@ def odd_rsk_check(mu, rho) -> dict:
         "aggregate_sign_count": total,
         "hh_entry": aggregate,
         "kostka_identity": kostka_sum,
-        "ok": bijective
-        and all(e["ok"] for e in entries)
-        and total == aggregate == kostka_sum,
+        "ok": bijective and total == aggregate == kostka_sum,
     }
-    return report
-
-
-@lru_cache(maxsize=None)
-def _ssyt_cached(lam, content):
-    from .combinat import ssyt
-
-    return tuple(ssyt(lam, content))
 
 
 def rsk_verify_degree(n: int) -> dict:

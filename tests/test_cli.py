@@ -306,20 +306,43 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_bad_matrix_json(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["rsk", "--matrix", "[[1,"])
-        assert exc.value.code == 2
-
     @pytest.mark.parametrize(
         "matrix", ["[[1.5,0]]", '[["a"]]', "[[1],[0,1]]", "[[true]]", "[[-1]]",
-                   "5", "[]"])
+                   "5", "[]", "[[1,"])
     def test_rsk_matrix_contract(self, capsys, matrix):
         with pytest.raises(SystemExit) as exc:
             main(["rsk", "--matrix", matrix])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: matrix must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pair", "--left", "2,x", "--right", "1"],
+             "expected comma-separated positive integers, k^m for m copies "
+             "of k: '2,x'"),
+            (["pair", "--left", "2^x", "--right", "1"],
+             "expected comma-separated positive integers, k^m for m copies "
+             "of k: '2^x'"),
+            (["expand", "--what", "e", "--index", "y"],
+             "expected comma-separated positive integers, k^m for m copies "
+             "of k: 'y'"),
+            (["pair", "--basis", "mixed", "--left", "ex", "--right", "h1"],
+             "expected comma-separated letters e<n>, h<n> or <n> (an h): 'ex'"),
+            (["pair", "--left", "2", "--right", "2", "--q", "x"],
+             "expected generic or an integer for q: 'x'"),
+            (["gram", "--degree", "3", "--q", "x"],
+             "expected generic or an integer for q: 'x'"),
+            (["gram", "--degree", "3", "--q", "2.5"],
+             "expected generic or an integer for q: '2.5'"),
+        ],
+    )
+    def test_parse_error_names_the_expected_form(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("what", ["m", "f", "s"])
     def test_expand_index_must_be_a_partition(self, capsys, what):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import oddsym
 from oddsym.bases import kostka, kostka_unsigned
-from oddsym.combinat import Tableau, matrices_with_margins, partitions_of, shape_sign
+from oddsym.combinat import (
+    Tableau,
+    matrices_with_margins,
+    matrix_sign,
+    partitions_of,
+    shape_sign,
+)
 from oddsym.rsk import (
     insert_word,
     knuth_neighbors,
@@ -218,6 +224,30 @@ class TestOddRskTheorem:
                 want = sum(shape_sign(lam) * kostka(lam, mu) * kostka(lam, rho)
                            for lam in partitions_of(4))
                 assert odd_rsk_check(mu, rho)["kostka_identity"] == want
+
+    def test_colliding_images_are_not_bijective(self, monkeypatch):
+        # one matrix of the class gets the image of another with the same
+        # shape and sign: every record stays valid and the signed sum is
+        # unchanged, so only the count of distinct images catches it
+        mu = rho = (2, 1, 1)
+        groups = {}
+        for a in matrices_with_margins(mu, rho):
+            groups.setdefault((rsk(a).insertion.shape, matrix_sign(a)), []).append(a)
+        first, second = next(g for g in groups.values() if len(g) > 1)[:2]
+        # this module's rsk stays the real one
+        monkeypatch.setattr(oddsym.rsk, "rsk",
+                            lambda a: rsk(first if a == second else a))
+        r = odd_rsk_check(mu, rho)
+        assert all(e["ok"] for e in r["matrices"])
+        assert r["aggregate_sign_count"] == r["hh_entry"] == r["kostka_identity"]
+        assert not r["bijective"] and not r["ok"]
+
+    def test_missing_matrix_is_not_bijective(self, monkeypatch):
+        monkeypatch.setattr(oddsym.rsk, "matrices_with_margins",
+                            lambda mu, rho: matrices_with_margins(mu, rho)[1:])
+        r = odd_rsk_check((2, 1, 1), (2, 1, 1))
+        assert all(e["ok"] for e in r["matrices"])
+        assert not r["bijective"] and not r["ok"]
 
     def test_report_schema(self):
         r = odd_rsk_check((2, 1), (2, 1))
