@@ -50,48 +50,49 @@ def parse_q(text: str):
     return _int(text, "generic or an integer for q", text)
 
 
+def _tokens(text: str, expected: str):
+    """Yields (token, m) for each comma-separated token of a stripped word,
+    written k or k^m for m copies of k, with 1 <= m <= MAX_WORD_DEGREE checked
+    before any copies are built.  The whole word "" or "0" is empty."""
+    if text in ("", "0"):
+        return
+    for token in text.split(","):
+        token = token.strip()
+        base, caret, count = token.partition("^")
+        m = _int(count, expected, text) if caret else 1
+        if not 1 <= m <= MAX_WORD_DEGREE:
+            raise ValueError(
+                f"repeat count in {token!r} must be in 1..{MAX_WORD_DEGREE}")
+        yield base, m
+
+
 def parse_parts(text: str) -> tuple[int, ...]:
-    """Comma-separated positive integers; k^m shorthand for m copies of k,
-    with 1 <= m <= MAX_WORD_DEGREE.
+    """Comma-separated positive integers; k^m shorthand for m copies of k.
 
     Examples: "2,2", "1^5", "3,1^2".
     """
     text = text.strip()
-    if not text or text == "0":
-        return ()
     expected = "comma-separated positive integers, k^m for m copies of k"
     parts: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if "^" in token:
-            base, _, count = token.partition("^")
-            m = _int(count, expected, text)
-            if not 1 <= m <= MAX_WORD_DEGREE:
-                raise ValueError(
-                    f"repeat count in {token!r} must be in 1..{MAX_WORD_DEGREE}")
-            parts.extend([_int(base, expected, text)] * m)
-        else:
-            parts.append(_int(token, expected, text))
+    for base, m in _tokens(text, expected):
+        parts.extend([_int(base, expected, text)] * m)
     if any(p < 1 for p in parts):
         raise ValueError(f"parts must be positive: {text!r}")
     return tuple(parts)
 
 
 def parse_colored(text: str):
-    """Mixed word: tokens like e2 or h3 (plain integers default to h)."""
+    """Mixed word: tokens like e2 or h3 (plain integers default to h), with
+    the k^m shorthand and the empty word of parse_parts, e.g. "e2^3,1"."""
+    text = text.strip()
     expected = "comma-separated letters e<n>, h<n> or <n> (an h)"
     word = []
-    for token in text.split(","):
-        token = token.strip()
-        if token.startswith(("e", "h")):
-            color = form.E if token[0] == "e" else form.H
-            n = _int(token[1:], expected, text)
-        else:
-            color = form.H
-            n = _int(token, expected, text)
+    for base, m in _tokens(text, expected):
+        lettered = base.startswith(("e", "h"))
+        n = _int(base[1:] if lettered else base, expected, text)
         if n < 1:
             raise ValueError(f"letter subscripts must be positive: {text!r}")
-        word.append((n, color))
+        word.extend([(n, form.E if base.startswith("e") else form.H)] * m)
     return tuple(word)
 
 

@@ -157,10 +157,6 @@ class Tableau:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
 
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def content(self, width: int | None = None) -> tuple[int, ...]:
         """Multiplicity vector of the entries 1..width."""
         if width is None:

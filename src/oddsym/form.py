@@ -7,14 +7,17 @@ platforms) follow the same scheme with two extra rules: an entry joining a
 black and a white platform is at most 1, and an entry a joining two black
 platforms carries the cable sign (-1)^T(a-1).
 
-The enumeration runs row by row, memoized on the remaining margins, so whole
-Gram tables cost little more than their largest entry.
+Both pairings fill one row at a time, memoized on the remaining margins.  The
+row kernel takes an explicit limit per column, carries the exponent as
+entries are placed and walks no prefix that misses the row total.  Colored
+words at generic q expand each side once into h-words and add all exponent
+counts into one table.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 
-from .combinat import compositions_of, triangular
+from .combinat import compositions_of, inversions, triangular
 from .polyq import QPoly
 
 H = "h"
@@ -39,35 +42,29 @@ def word_degree(word: Word) -> int:
 # generic-q pairing of h-words
 
 
-def _row_fillings(total: int, caps: tuple[int, ...], max_entry=None):
-    """All ways to fill one row: vectors 0 <= m_j <= caps[j] (and <= max_entry
-    where the colors differ) summing to total, with the exponent contributed
-    by SW-NE pairs between this row and everything below it.
-
-    Yields (m, exponent_increment).
+def _row_fillings(total: int, caps: tuple[int, ...], limits: tuple[int, ...]):
+    """Every row 0 <= m_j <= limits[j] summing to total, in lexicographic
+    order, as (m, exponent) pairs.  caps are the column margins left for this
+    row and the rows below it (limits[j] <= caps[j]); the exponent counts the
+    SW-NE pairs the row makes with the rows below, so an entry v in column j
+    adds v times the entries left of j below it.  Each entry is at least
+    what the limits of the later columns cannot hold, so every branch ends in
+    a row, and once the total is placed the rest of the row is zero.
     """
     ncols = len(caps)
+    room = list(accumulate(reversed(limits), initial=0))[::-1]
+    out = []
 
-    def rec(j: int, left: int, acc: list[int]):
-        if j == ncols:
-            if left == 0:
-                m = tuple(acc)
-                exp = 0
-                for jj in range(ncols):
-                    if m[jj]:
-                        below_left = sum(caps[t] - m[t] for t in range(jj))
-                        exp += below_left * m[jj]
-                yield m, exp
+    def rec(j: int, left: int, below: int, exp: int, row: tuple[int, ...]):
+        if not left:
+            out.append((row + (0,) * (ncols - j), exp))
             return
-        cap = min(left, caps[j])
-        if max_entry is not None and max_entry[j] is not None:
-            cap = min(cap, max_entry[j])
-        for v in range(cap + 1):
-            acc.append(v)
-            yield from rec(j + 1, left - v, acc)
-            acc.pop()
+        for v in range(max(0, left - room[j + 1]), min(left, limits[j]) + 1):
+            rec(j + 1, left - v, below + caps[j] - v, exp + v * below, row + (v,))
 
-    yield from rec(0, total, [])
+    if total <= room[0]:
+        rec(0, total, 0, 0, ())
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +76,7 @@ def _pair_h(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[tuple[int, i
         return ()
     counts: dict[int, int] = {}
     b, rest = beta[0], beta[1:]
-    for m, exp in _row_fillings(b, alpha):
+    for m, exp in _row_fillings(b, alpha, alpha):
         reduced = tuple(a - x for a, x in zip(alpha, m) if a - x > 0)
         for sub_exp, sub_count in _pair_h(rest, reduced):
             e = exp + sub_exp
@@ -109,20 +106,13 @@ def _pair_colored(beta: Word, alpha: Word) -> int:
         return 0
     (b, bcol), rest = beta[0], beta[1:]
     caps = tuple(n for n, _ in alpha)
-    col_colors = tuple(c for _, c in alpha)
-    max_entry = tuple(1 if c != bcol else None for c in col_colors)
+    limits = tuple(n if c == bcol else min(n, 1) for n, c in alpha)
     total = 0
-    for m, exp in _row_fillings(b, caps, max_entry):
-        sign = -1 if exp % 2 else 1
+    for m, exp in _row_fillings(b, caps, limits):
         if bcol == E:
-            cables = sum(
-                triangular(m[j] - 1) for j in range(len(m)) if m[j] and col_colors[j] == E
-            )
-            if cables % 2:
-                sign = -sign
-        reduced = tuple(
-            (caps[j] - m[j], col_colors[j]) for j in range(len(m)) if caps[j] - m[j] > 0
-        )
+            exp += sum(triangular(v - 1) for v, (_, c) in zip(m, alpha) if v and c == E)
+        sign = -1 if exp % 2 else 1
+        reduced = tuple((n - v, c) for v, (n, c) in zip(m, alpha) if n > v)
         total += sign * _pair_colored(rest, reduced)
     return total
 
@@ -177,11 +167,13 @@ def expand_colored_word(word: Word) -> dict:
 
 def pair_words_generic(y: Word, x: Word) -> QPoly:
     """Generic-q pairing of colored words, via e-expansion into h-words."""
-    total = QPoly()
+    right = expand_colored_word(tuple(x))
+    counts: dict[int, int] = {}
     for wy, cy in expand_colored_word(tuple(y)).items():
-        for wx, cx in expand_colored_word(tuple(x)).items():
-            total = total + cy * cx * pair_h_generic(wy, wx)
-    return total
+        for wx, cx in right.items():
+            for e, c in _pair_h(wy, wx):
+                counts[e] = counts.get(e, 0) + cy * cx * c
+    return QPoly.from_exponent_counts(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +197,6 @@ def descent_composition(sigma) -> tuple[int, ...]:
 def coarsenings(alpha) -> list[tuple[int, ...]]:
     """All compositions obtained by merging adjacent parts of alpha."""
     alpha = tuple(alpha)
-    if not alpha:
-        return [()]
     out = []
 
     def rec(i: int, acc: list[int]):
@@ -244,12 +234,7 @@ def _htilde_table(n: int) -> dict:
         for i, v in enumerate(sigma):
             inv_sigma[v - 1] = i + 1
         beta = descent_composition(inv_sigma)
-        length = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if sigma[i] > sigma[j]
-        )
+        length = inversions(sigma)
         counts = table.setdefault((beta, alpha), {})
         counts[length] = counts.get(length, 0) + 1
     return {key: QPoly.from_exponent_counts(c) for key, c in table.items()}

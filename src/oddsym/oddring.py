@@ -169,8 +169,6 @@ def normalize(terms) -> OddElt:
         terms = {terms: 1}
     out: dict[tuple[int, ...], int] = {}
     for word, coeff in terms.items():
-        if not coeff:
-            continue
         for part, c in normalize_word(tuple(word)):
             out[part] = out.get(part, 0) + coeff * c
     return OddElt(out)

@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import random
 
 import pytest
 
-from oddsym import form, hopf
+from oddsym import form, hopf, rsk
+from oddsym.combinat import matrices_with_margins
 from oddsym.cli import MAX_WORD_DEGREE, main, parse_colored, parse_parts
 
 
@@ -32,6 +35,22 @@ class TestParsing:
     def test_colored(self):
         assert parse_colored("e2,h1,h2") == ((2, "e"), (1, "h"), (2, "h"))
         assert parse_colored("2,3") == ((2, "h"), (3, "h"))
+        # the empty word and the k^m shorthand read as in parse_parts
+        assert parse_colored("") == parse_colored("0") == ()
+        assert parse_colored("e2^3") == ((2, "e"),) * 3
+        assert parse_colored("h1^2,3^2,e1") == (
+            (1, "h"), (1, "h"), (3, "h"), (3, "h"), (1, "e"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("ex", "expected comma-separated letters e<n>, h<n> or <n> (an h): 'ex'"),
+        ("E1", "expected comma-separated letters e<n>, h<n> or <n> (an h): 'E1'"),
+        ("h0", "letter subscripts must be positive: 'h0'"),
+        ("1^17", f"repeat count in '1^17' must be in 1..{MAX_WORD_DEGREE}"),
+    ])
+    def test_colored_rejects(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_colored(text)
+        assert str(exc.value) == message
 
 
 class TestCommands:
@@ -44,6 +63,24 @@ class TestCommands:
                      "--right", "h2,e3", "--q", "-1"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "-1"
+
+    def test_pair_mixed_empty_words(self, capsys):
+        assert main(["pair", "--basis", "mixed", "--left", "", "--right", "0",
+                     "--q", "-1"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
+    @pytest.mark.parametrize("q, value", [("1", "4"), ("2", "17")])
+    def test_pair_integer_q(self, capsys, q, value):
+        # at q = 1 the pairing counts the N-matrices with these margins
+        assert len(matrices_with_margins((2, 2), (1, 2, 1))) == 4
+        assert main(["pair", "--left", "2,2", "--right", "1,2,1", "--q", q]) == 0
+        assert capsys.readouterr().out == f"{value}\n"
+
+    def test_pair_integer_q_csv(self, capsys):
+        assert main(["pair", "--left", "2,2", "--right", "1,2,1", "--q", "1",
+                     "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [["left", "right", "q", "value"], ["2,2", "1,2,1", "1", "4"]]
 
     def test_pair_e_basis(self, capsys):
         assert main(["pair", "--basis", "e", "--left", "3", "--right", "3",
@@ -100,6 +137,30 @@ class TestCommands:
                      "--in-basis", "e"]) == 0
         assert "e(4)" in capsys.readouterr().out
 
+    def test_expand_csv_bytes(self, capsys):
+        assert main(["expand", "--what", "m", "--index", "2,1",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == 'index,coefficient\r\n"2,1",-1\r\n3,1\r\n'
+
+    def test_kostka_plain_table(self, capsys):
+        assert main(["kostka", "--degree", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "signed Kostka numbers, degree 3 (rows = shape)\n"
+            "       1,1,1  2,1  3\n"
+            "1,1,1      1    0  0\n"
+            "  2,1      0    1  0\n"
+            "    3      1    1  1\n"
+        )
+
+    def test_gram_plain_table(self, capsys):
+        assert main(["gram", "--degree", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "Gram matrix, degree 2, q = generic\n"
+            "     1,1  2\n"
+            "1,1  1+q  1\n"
+            "  2    1  1\n"
+        )
+
     def test_kostka_csv(self, capsys):
         assert main(["kostka", "--degree", "5", "--format", "csv"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
@@ -131,6 +192,16 @@ class TestCommands:
     def test_rsk_verify(self, capsys):
         assert main(["rsk", "--verify", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_rsk_verify_failure(self, monkeypatch, capsys):
+        flipped = rsk.matrix_sign
+        monkeypatch.setattr(rsk, "matrix_sign", lambda m: -flipped(m))
+        assert main(["rsk", "--verify", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "margins 1,1 x 1,1: 2 matrices, signed sum 0, FAIL"
+        assert lines[-2] == "degree 2 FAIL"
+        first = json.loads(lines[-1])
+        assert (first["mu"], first["rho"], first["ok"]) == ([1, 1], [1, 1], False)
 
     def test_det_with_factors(self, capsys):
         assert main(["det", "--degree", "3", "--factors"]) == 0
@@ -352,6 +423,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "indexed by a partition" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["expand", "--what", "p", "--index", "2,1"],
+         "power sums are indexed by a single integer"),
+        (["tables"], "nothing to do: pass --appendix"),
+    ])
+    def test_nothing_to_compute(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_htilde_e_basis_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["expand", "--what", "htilde", "--index", "2,1",
@@ -364,6 +446,8 @@ class TestExitCodes:
             ["pair", "--left", "2^-1", "--right", "0"],
             ["pair", "--left", "2^0", "--right", "0"],
             ["pair", "--left", "1^17", "--right", "17", "--q", "-1"],
+            ["pair", "--basis", "mixed", "--left", "e1^17", "--right", "h17",
+             "--q", "-1"],
             ["expand", "--what", "e", "--index", "1^-3"],
             ["expand", "--what", "e", "--index", "1^1000000000000"],
         ],

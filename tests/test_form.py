@@ -1,8 +1,10 @@
 """Bilinear-form tests, including the independent double-coset oracle."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oddsym.combinat import (
     compositions_of,
@@ -13,6 +15,7 @@ from oddsym.combinat import (
 from oddsym.form import (
     E,
     H,
+    _row_fillings,
     descent_composition,
     coarsenings,
     e_expansion,
@@ -29,6 +32,7 @@ from oddsym.form import (
 from oddsym.polyq import ONE, QPoly
 
 from oracles import pair_htilde_inclusion_exclusion
+from test_oddring import PROPERTY
 
 
 def double_coset_pairing(beta, alpha):
@@ -80,6 +84,29 @@ def double_coset_pairing(beta, alpha):
         length = min(inv_count(p) for p in orbit)
         counts[length] = counts.get(length, 0) + 1
     return counts
+
+
+@st.composite
+def row_cases(draw):
+    """Column margins, per-column limits (the margin, or at most 1 as across
+    colors at q = -1) and a row total that may exceed what the limits hold."""
+    caps = tuple(draw(st.lists(st.integers(1, 5), max_size=6)))
+    limits = tuple(draw(st.sampled_from((c, min(c, 1)))) for c in caps)
+    return draw(st.integers(0, sum(caps) + 2)), caps, limits
+
+
+class TestRowKernel:
+    @PROPERTY
+    @given(row_cases())
+    def test_matches_brute_force(self, case):
+        total, caps, limits = case
+        want = [
+            (m, sum(m[j] * sum(caps[t] - m[t] for t in range(j))
+                    for j in range(len(m))))
+            for m in product(*(range(limit + 1) for limit in limits))
+            if sum(m) == total
+        ]
+        assert _row_fillings(total, caps, limits) == want
 
 
 class TestGenericPairing:
