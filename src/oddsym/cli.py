@@ -9,7 +9,6 @@ output path that cannot be written.
 
 import argparse
 import csv
-import io
 import json
 import pathlib
 import sys
@@ -44,10 +43,12 @@ def _int(token: str, expected: str, text: str) -> int:
 
 
 def parse_q(text: str):
-    """--q: "generic" or an integer."""
+    """--q: "generic" or an integer of absolute value at most 2^64."""
     if text == "generic":
         return text
-    return _int(text, "generic or an integer for q", text)
+    q = _int(text, "generic or an integer for q", text)
+    _bound("--q", q, -(2**64), 2**64)
+    return q
 
 
 def _tokens(text: str, expected: str):
@@ -127,6 +128,11 @@ def table_cells(row_labels, col_labels, rows) -> list[list[str]]:
     return cells
 
 
+def emit_csv(rows) -> None:
+    """The one CSV writer of stdout: CRLF line ends, quotes only as needed."""
+    csv.writer(sys.stdout).writerows(rows)
+
+
 def emit_table(args, row_labels, col_labels, rows, title: str) -> None:
     fmt = args.format
     if fmt == "json":
@@ -143,9 +149,7 @@ def emit_table(args, row_labels, col_labels, rows, title: str) -> None:
         return
     cells = table_cells(row_labels, col_labels, rows)
     if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out).writerows(cells)
-        sys.stdout.write(out.getvalue())
+        emit_csv(cells)
         return
     widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
     print(title)
@@ -165,12 +169,8 @@ def emit_expansion(args, name: str, terms: dict, letter: str) -> None:
         print(json.dumps({name: {",".join(map(str, p)): c for p, c in sorted(terms.items())}}))
         return
     if fmt == "csv":
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["index", "coefficient"])
-        for p, c in sorted(terms.items()):
-            w.writerow([fmt_parts(p), c])
-        sys.stdout.write(out.getvalue())
+        emit_csv([["index", "coefficient"]]
+                 + [[fmt_parts(p), c] for p, c in sorted(terms.items())])
         return
     bits = []
     for p, c in sorted(terms.items()):
@@ -218,8 +218,8 @@ def cmd_pair(args) -> int:
         print(json.dumps({"left": args.left, "right": args.right, "q": args.q,
                           "value": payload}))
     elif args.format == "csv":
-        print("left,right,q,value")
-        print(f'"{args.left}","{args.right}",{args.q},"{shown}"')
+        emit_csv([["left", "right", "q", "value"],
+                  [args.left, args.right, args.q, shown]])
     else:
         print(shown)
     return 0

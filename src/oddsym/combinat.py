@@ -1,10 +1,13 @@
 """Partitions, compositions, tableaux and the sign statistics built on them.
 
 Partitions and compositions are plain tuples of positive ints (partitions
-weakly decreasing).  Everything here is immutable and pure.
+weakly decreasing).  Everything here is immutable and pure.  One row kernel,
+row_fillings, fills a row under a limit per column: margin matrices are filled
+with it row by row, SSYT strip by strip, and the form reads it too.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -209,81 +212,82 @@ def superstandard(lam) -> Tableau:
     return Tableau([(i + 1,) * p for i, p in enumerate(lam)])
 
 
+# ---------------------------------------------------------------------------
+# one row under a limit per column, and the tableaux (strip by strip) and
+# margin matrices (row by row) filled from it
+
+
+def row_fillings(total: int, caps: tuple[int, ...], limits: tuple[int, ...]):
+    """Every row 0 <= m_j <= limits[j] summing to total, in lexicographic
+    order, as (m, exponent) pairs.  caps are the column margins left for this
+    row and the rows below it (limits[j] <= caps[j]); the exponent counts the
+    SW-NE pairs the row makes with the rows below, so an entry v in column j
+    adds v times the entries left of j below it.  Each entry is at least
+    what the limits of the later columns cannot hold, so every branch ends in
+    a row, and once the total is placed the rest of the row is zero.
+    """
+    ncols = len(caps)
+    room = list(accumulate(reversed(limits), initial=0))[::-1]
+    out = []
+
+    def rec(j: int, left: int, below: int, exp: int, row: tuple[int, ...]):
+        if not left:
+            out.append((row + (0,) * (ncols - j), exp))
+            return
+        for v in range(max(0, left - room[j + 1]), min(left, limits[j]) + 1):
+            rec(j + 1, left - v, below + caps[j] - v, exp + v * below, row + (v,))
+
+    if total <= room[0]:
+        rec(0, total, 0, 0, ())
+    return out
+
+
 def ssyt(shape, content) -> list[Tableau]:
     """All semistandard Young tableaux of the given shape and content.
 
-    Cells are filled in row-major order by backtracking; output order is
-    deterministic (lexicographic in the filling).
+    Each entry i is placed as one horizontal strip, which widens row r by at
+    most min(shape_r, nu_(r-1)) - nu_r, nu the shape filled so far.  Output
+    order is strip order: lexicographic in the row widths of each strip.
     """
-    shape = tuple(shape)
-    content = tuple(content)
+    shape, content = tuple(shape), tuple(content)
     if sum(shape) != sum(content):
         raise ValueError("shape and content have different weights")
     if not is_partition(shape):
         raise ValueError(f"not a partition: {shape}")
-    remaining = list(content)
-    rows = [[0] * p for p in shape]
-    cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
     found: list[Tableau] = []
 
-    def fill(pos: int) -> None:
-        if pos == len(cells):
+    def add(i: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if i == len(content):
             found.append(Tableau(rows))
             return
-        i, j = cells[pos]
-        lo = rows[i][j - 1] if j > 0 else 1
-        lo = max(lo, rows[i - 1][j] + 1 if i > 0 else 1)
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            rows[i][j] = v
-            fill(pos + 1)
-            rows[i][j] = 0
-            remaining[v - 1] += 1
+        nu = tuple(map(len, rows))
+        limits = tuple(min(lam, top) - n for lam, top, n in zip(shape, shape[:1] + nu, nu))
+        for m, _ in row_fillings(content[i], limits, limits):
+            add(i + 1, tuple(r + (i + 1,) * k for r, k in zip(rows, m)))
 
-    fill(0)
+    add(0, ((),) * len(shape))
     return found
-
-
-# ---------------------------------------------------------------------------
-# matrices with prescribed margins
 
 
 def matrices_with_margins(row_sums, col_sums):
     """All N-matrices with the given row and column sums.
 
-    Deterministic order: rows are filled top to bottom, each row enumerated
-    lexicographically.  Raises on mismatched margin weights.
+    Rows are filled top to bottom by row_fillings under the column margins
+    left, each row in lexicographic order.  Raises on mismatched weights.
     """
     row_sums, col_sums = tuple(row_sums), tuple(col_sums)
     if sum(row_sums) != sum(col_sums):
         raise ValueError("row and column margins have different weights")
-    ncols = len(col_sums)
     out = []
 
-    def fill_row(i: int, rows_acc, col_left):
+    def fill(i: int, rows: tuple[tuple[int, ...], ...], left: tuple[int, ...]):
         if i == len(row_sums):
-            if all(c == 0 for c in col_left):
-                out.append(tuple(rows_acc))
+            out.append(rows)
             return
-        target = row_sums[i]
+        for m, _ in row_fillings(row_sums[i], left, left):
+            fill(i + 1, rows + (m,), tuple(c - v for c, v in zip(left, m)))
 
-        def fill_cell(j: int, row_acc, left):
-            if j == ncols:
-                if left == 0:
-                    fill_row(
-                        i + 1,
-                        rows_acc + [tuple(row_acc)],
-                        [col_left[k] - row_acc[k] for k in range(ncols)],
-                    )
-                return
-            for v in range(min(left, col_left[j]) + 1):
-                fill_cell(j + 1, row_acc + [v], left - v)
-
-        fill_cell(0, [], target)
-
-    fill_row(0, [], list(col_sums))
+    fill(0, (), col_sums)
     return out
 
 

@@ -7,17 +7,16 @@ platforms) follow the same scheme with two extra rules: an entry joining a
 black and a white platform is at most 1, and an entry a joining two black
 platforms carries the cable sign (-1)^T(a-1).
 
-Both pairings fill one row at a time, memoized on the remaining margins.  The
-row kernel takes an explicit limit per column, carries the exponent as
-entries are placed and walks no prefix that misses the row total.  Colored
-words at generic q expand each side once into h-words and add all exponent
-counts into one table.
+Both pairings fill one row at a time with combinat.row_fillings, under an
+explicit limit per column, memoized on the remaining margins.  Colored words
+at generic q expand each side once into h-words and add all exponent counts
+into one table.
 """
 
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import permutations
 
-from .combinat import compositions_of, inversions, triangular
+from .combinat import compositions_of, inversions, row_fillings, triangular
 from .polyq import QPoly
 
 H = "h"
@@ -42,31 +41,6 @@ def word_degree(word: Word) -> int:
 # generic-q pairing of h-words
 
 
-def _row_fillings(total: int, caps: tuple[int, ...], limits: tuple[int, ...]):
-    """Every row 0 <= m_j <= limits[j] summing to total, in lexicographic
-    order, as (m, exponent) pairs.  caps are the column margins left for this
-    row and the rows below it (limits[j] <= caps[j]); the exponent counts the
-    SW-NE pairs the row makes with the rows below, so an entry v in column j
-    adds v times the entries left of j below it.  Each entry is at least
-    what the limits of the later columns cannot hold, so every branch ends in
-    a row, and once the total is placed the rest of the row is zero.
-    """
-    ncols = len(caps)
-    room = list(accumulate(reversed(limits), initial=0))[::-1]
-    out = []
-
-    def rec(j: int, left: int, below: int, exp: int, row: tuple[int, ...]):
-        if not left:
-            out.append((row + (0,) * (ncols - j), exp))
-            return
-        for v in range(max(0, left - room[j + 1]), min(left, limits[j]) + 1):
-            rec(j + 1, left - v, below + caps[j] - v, exp + v * below, row + (v,))
-
-    if total <= room[0]:
-        rec(0, total, 0, 0, ())
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pair_h(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Exponent/count pairs of the generic pairing (h_beta, h_alpha)."""
@@ -76,7 +50,7 @@ def _pair_h(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[tuple[int, i
         return ()
     counts: dict[int, int] = {}
     b, rest = beta[0], beta[1:]
-    for m, exp in _row_fillings(b, alpha, alpha):
+    for m, exp in row_fillings(b, alpha, alpha):
         reduced = tuple(a - x for a, x in zip(alpha, m) if a - x > 0)
         for sub_exp, sub_count in _pair_h(rest, reduced):
             e = exp + sub_exp
@@ -108,7 +82,7 @@ def _pair_colored(beta: Word, alpha: Word) -> int:
     caps = tuple(n for n, _ in alpha)
     limits = tuple(n if c == bcol else min(n, 1) for n, c in alpha)
     total = 0
-    for m, exp in _row_fillings(b, caps, limits):
+    for m, exp in row_fillings(b, caps, limits):
         if bcol == E:
             exp += sum(triangular(v - 1) for v, (_, c) in zip(m, alpha) if v and c == E)
         sign = -1 if exp % 2 else 1

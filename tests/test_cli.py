@@ -82,6 +82,18 @@ class TestCommands:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows == [["left", "right", "q", "value"], ["2,2", "1,2,1", "1", "4"]]
 
+    def test_pair_csv_bytes(self, capsys):
+        # the csv.writer dialect of every other CSV output: CRLF, quotes only
+        # around fields with a comma
+        assert main(["pair", "--left", "2,2", "--right", "1,2,1", "--q", "1",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == 'left,right,q,value\r\n"2,2","1,2,1",1,4\r\n'
+
+    def test_pair_at_integer_q_bound(self, capsys):
+        q = 2**64
+        assert main(["pair", "--left", "2,2", "--right", "1,2,1", "--q", str(q)]) == 0
+        assert capsys.readouterr().out == f"{1 + 2 * q**2 + q**3}\n"
+
     def test_pair_e_basis(self, capsys):
         assert main(["pair", "--basis", "e", "--left", "3", "--right", "3",
                      "--q", "-1"]) == 0
@@ -386,6 +398,16 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: matrix must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["pair", "--left", "2", "--right", "2"],
+                                         ["gram", "--degree", "8"]])
+    @pytest.mark.parametrize("q", [2**64 + 1, -(2**64) - 1])
+    def test_integer_q_out_of_bound(self, capsys, command, q):
+        # rejected before any work
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--q", str(q)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --q must be in {-(2**64)}..{2**64}\n"
 
     @pytest.mark.parametrize(
         "argv, message",

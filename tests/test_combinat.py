@@ -1,3 +1,5 @@
+from itertools import combinations, permutations, product
+
 import pytest
 
 from oddsym.combinat import (
@@ -198,3 +200,40 @@ class TestMarginMatrices:
         assert cable_sign(((2, 1, 0), (0, 1, 1))) == -1
         assert cable_sign(((1, 1, 1), (1, 1, 0))) == 1
         assert cable_sign(((3,),)) == -1  # T(2) = 3
+
+
+def brute_compositions(n):
+    """Compositions of n >= 1 read off their cut sets."""
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for k in range(n) for cuts in combinations(range(1, n), k)]
+
+
+class TestEnumerationPins:
+    """matrices_with_margins and ssyt fill through the row kernel that the
+    form uses too; these pins share no code with it."""
+
+    def test_margin_matrices_equal_brute_force_in_order(self):
+        for n in range(1, 6):
+            for r in brute_compositions(n):
+                for c in brute_compositions(n):
+                    rows = [[m for m in product(*(range(x + 1) for x in c)) if sum(m) == t]
+                            for t in r]
+                    want = [a for a in product(*rows)
+                            if tuple(map(sum, zip(*a))) == c]
+                    assert matrices_with_margins(r, c) == want, (r, c)
+
+    def test_ssyt_equal_brute_force_as_sets(self):
+        for n in range(1, 6):
+            shapes = [c for c in brute_compositions(n)
+                      if all(a >= b for a, b in zip(c, c[1:]))]
+            for lam in shapes:
+                for mu in brute_compositions(n):
+                    word = [i + 1 for i, k in enumerate(mu) for _ in range(k)]
+                    want = set()
+                    for w in set(permutations(word)):
+                        cells = iter(w)
+                        t = Tableau([[next(cells) for _ in range(p)] for p in lam])
+                        if t.is_semistandard():
+                            want.add(t)
+                    got = ssyt(lam, mu)
+                    assert len(set(got)) == len(got) and set(got) == want, (lam, mu)

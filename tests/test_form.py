@@ -10,12 +10,12 @@ from oddsym.combinat import (
     compositions_of,
     matrices_with_margins,
     partitions_of,
+    row_fillings,
     triangular,
 )
 from oddsym.form import (
     E,
     H,
-    _row_fillings,
     descent_composition,
     coarsenings,
     e_expansion,
@@ -106,7 +106,7 @@ class TestRowKernel:
             for m in product(*(range(limit + 1) for limit in limits))
             if sum(m) == total
         ]
-        assert _row_fillings(total, caps, limits) == want
+        assert row_fillings(total, caps, limits) == want
 
 
 class TestGenericPairing:

@@ -5,7 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from oddsym import form
+from oddsym import combinat, form
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,3 +48,21 @@ def test_install_records_and_uninstall_restores():
         t.uninstall()
     assert form.pair_words_odd is before
     assert t.metrics()["form.pair_words_odd.calls"] == 1
+
+
+def test_after_hooks_count_results():
+    tracer = load_tracer()
+    rsk = importlib.import_module("oddsym.rsk")  # oddsym.rsk is the function
+    t = tracer.Tracer()
+    t.install()
+    try:
+        mats = combinat.matrices_with_margins((2, 1), (1, 1, 1))
+        after_mats = dict(t.counters)
+        tabs = combinat.ssyt((2, 1), (1, 1, 1))
+        after_tabs = dict(t.counters)
+        report = rsk.odd_rsk_check((2, 1), (1, 1, 1))
+    finally:
+        t.uninstall()
+    assert after_mats["combinat.margin_matrices"] == len(mats) == 3
+    assert after_tabs["combinat.tableaux"] == len(tabs) == 2
+    assert t.counters["rsk.report_matrices"] == len(report["matrices"]) == 3
