@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import pathlib
+import re
 import sys
 from importlib import resources
 
@@ -24,6 +25,8 @@ from .rsk import rsk_verify_degree, sign_record, sign_theorem_check
 # is at least 1, so parse_parts rejects a longer k^m run before building it.
 MAX_WORD_DEGREE = 16
 
+INTEGER = re.compile(r"[+-]?[0-9]+")
+
 VERIFY_MAX_DEGREE = {"hopf": 9, "schur": 8, "rsk": 7, "semiorth": 10,
                      "primitives": 10, "all": 7}
 
@@ -34,12 +37,12 @@ def _bound(what: str, value: int, lo: int, hi: int) -> None:
 
 
 def _int(token: str, expected: str, text: str) -> int:
-    """int(token), or a ValueError that names the expected form and echoes
-    the whole input text."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"expected {expected}: {text!r}") from None
+    """The integer of an ASCII token [+-]?[0-9]+, or a ValueError that names
+    the expected form and echoes the whole input text.  int() alone would
+    also take other Unicode digits, underscores and surrounding whitespace."""
+    if INTEGER.fullmatch(token) is None:
+        raise ValueError(f"expected {expected}: {text!r}")
+    return int(token)
 
 
 def parse_q(text: str):
@@ -54,13 +57,15 @@ def parse_q(text: str):
 def _tokens(text: str, expected: str):
     """Yields (token, m) for each comma-separated token of a stripped word,
     written k or k^m for m copies of k, with 1 <= m <= MAX_WORD_DEGREE checked
-    before any copies are built.  The whole word "" or "0" is empty."""
+    before any copies are built.  Spaces may surround "," and "^".  The whole
+    word "" or "0" is empty."""
     if text in ("", "0"):
         return
     for token in text.split(","):
         token = token.strip()
         base, caret, count = token.partition("^")
-        m = _int(count, expected, text) if caret else 1
+        base = base.rstrip()
+        m = _int(count.lstrip(), expected, text) if caret else 1
         if not 1 <= m <= MAX_WORD_DEGREE:
             raise ValueError(
                 f"repeat count in {token!r} must be in 1..{MAX_WORD_DEGREE}")

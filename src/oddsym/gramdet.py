@@ -5,7 +5,10 @@ radical ranks at specialized q.
 Compositions label rows and columns in the appendix layout, grouped by their
 underlying partition.  Rows and columns move together, so the determinant
 and the ranks do not depend on the order; the determinant is normalized to
-a positive leading coefficient.
+a positive leading coefficient.  The generic determinant is the product of
+the determinants of two reversal blocks, each taken by evaluation and
+interpolation modulo the first prime of polyq.DET_PRIMES that its proven
+coefficient bound allows.
 """
 
 import json
@@ -16,7 +19,7 @@ from .combinat import compositions_of, partitions_of, sort_to_partition
 from .form import pair_h_at, pair_h_generic
 from .polyq import QPoly, det_by_interpolation, det_exact, divide_out, rank_exact
 
-GENERIC_DET_BOUND = 6
+GENERIC_DET_BOUND = 7
 
 
 def composition_labels(n: int) -> list[tuple[int, ...]]:
@@ -44,19 +47,50 @@ def gram_matrix(n: int, q="generic", basis: str = "compositions"):
     return labels, rows
 
 
+def reversal_blocks(n: int):
+    """(G+, G-), the blocks of the degree-n composition Gram matrix G on the
+    reversal-symmetric and reversal-antisymmetric vectors.
+
+    The rows and columns are the representatives a <= rev a of the reversal
+    orbits, in the appendix layout; G- keeps the non-palindromic ones:
+        G+[b][a] = G[b][a] + G[b][rev a]   (G[b][a] alone when a = rev a)
+        G-[b][a] = G[b][a] - G[b][rev a].
+    Only the representative rows of G are evaluated.
+    """
+    labels = composition_labels(n)
+    reps = [a for a in labels if a <= a[::-1]]
+    odd = [a for a in reps if a != a[::-1]]
+    rows = {b: {a: pair_h_generic(b, a) for a in labels} for b in reps}
+    plus = [[rows[b][a] if a == a[::-1] else rows[b][a] + rows[b][a[::-1]]
+             for a in reps] for b in reps]
+    minus = [[rows[b][a] - rows[b][a[::-1]] for a in odd] for b in odd]
+    return plus, minus
+
+
 @lru_cache(maxsize=None)
 def gram_det(n: int) -> QPoly:
     """Generic-q determinant of the composition Gram matrix, normalized to a
     positive leading coefficient.
 
-    The determinant comes from evaluation and interpolation modulo a prime
-    (polyq.det_by_interpolation); its value at q = 2 is checked against the
-    integer Bareiss determinant of the matrix specialized at q = 2.
+    Turning an N-matrix by 180 degrees reverses both of its margins and keeps
+    every SW-NE pair, so (h_b, h_a) = (h_rev b, h_rev a): G commutes with the
+    reversal permutation R of the compositions.  G therefore maps the
+    R-symmetric vectors (spanned by e_a + e_rev a, and e_a for a palindrome)
+    and the R-antisymmetric vectors (spanned by e_a - e_rev a) into
+    themselves.  A symmetric or antisymmetric vector is fixed by its entries
+    on the orbit representatives, so in these two bases G acts by the blocks
+    G+ and G- of reversal_blocks, and det G = det G+ * det G-
+    (Fassler-Stiefel, block diagonalization by symmetry).
+
+    Each block determinant comes from evaluation and interpolation modulo a
+    prime chosen by its own proven bound (polyq.det_by_interpolation); the
+    product's value at q = 2 is checked against the integer Bareiss
+    determinant of the full matrix specialized at q = 2.
     """
     if n > GENERIC_DET_BOUND:
         raise ValueError(f"degree bound {GENERIC_DET_BOUND} exceeded")
-    _, rows = gram_matrix(n)
-    det = det_by_interpolation(rows)
+    plus, minus = reversal_blocks(n)
+    det = det_by_interpolation(plus) * det_by_interpolation(minus)
     _, at_two = gram_matrix(n, q=2)
     if det.evaluate(2) != det_exact(at_two):
         raise ArithmeticError(f"degree-{n} determinant fails the q = 2 check")

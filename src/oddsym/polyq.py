@@ -5,10 +5,11 @@ arbitrary-precision ints.  det_exact is fraction-free Bareiss elimination over
 nested lists whose entries support +, -, * and exact //, so it serves both ZZ
 and ZZ[q].  det_by_interpolation computes the determinant of a QPoly matrix
 without multiplying polynomials: it evaluates the matrix at the points
-0, 1, ..., D modulo a prime above twice a proven coefficient bound, takes each
-determinant by Gaussian elimination mod p, interpolates, and lifts the
-coefficients to the balanced residues.  rank_exact, unimodular_inverse and
-kernel_basis read their answers off one Gauss-Jordan reduction over Q.
+0, 1, ..., D modulo the first prime of the fixed list DET_PRIMES above twice a
+proven coefficient bound, takes each determinant by Gaussian elimination
+mod p, interpolates, and lifts the coefficients to the balanced residues.
+rank_exact, unimodular_inverse and kernel_basis read their answers off one
+Gauss-Jordan reduction over Q.
 """
 
 from fractions import Fraction
@@ -269,9 +270,12 @@ def _is_zero_entry(x) -> bool:
     return x.is_zero() if isinstance(x, QPoly) else x == 0
 
 
-# The prime of det_by_interpolation: the Curve25519 field prime.  It exceeds
-# 2B + 1 for the composition Gram matrices up to degree 6 (B < 2^236).
-DET_PRIME = 2**255 - 19
+# The primes of det_by_interpolation, tried in order: the Curve25519 field
+# prime and the Mersenne prime 2^521 - 1.  The first exceeds 2B + 1 for both
+# reversal blocks of the composition Gram matrix up to degree 6 and for the
+# odd block at degree 7 (B < 2^183); the even block at degree 7 (B < 2^359)
+# takes the second.
+DET_PRIMES = (2**255 - 19, 2**521 - 1)
 
 
 def det_bounds(matrix) -> tuple[int, int]:
@@ -297,11 +301,22 @@ def det_bounds(matrix) -> tuple[int, int]:
     return degree, bound
 
 
+def det_prime(degree: int, bound: int) -> int:
+    """The first prime of DET_PRIMES that is sound for det_bounds (D, B):
+    the balanced lift needs p > 2B + 1, and the D + 1 points must stay
+    distinct mod p.  Raises ValueError past the last prime."""
+    for p in DET_PRIMES:
+        if p > 2 * bound + 1 and p > degree:
+            return p
+    raise ValueError(f"coefficient bound 2^{bound.bit_length()} is too "
+                     "large for every prime of DET_PRIMES")
+
+
 def det_by_interpolation(matrix) -> QPoly:
     """Exact determinant of a square matrix of QPoly entries, with no
     polynomial products.
 
-    With (D, B) from det_bounds and p = DET_PRIME > 2B + 1, the matrix is
+    With (D, B) from det_bounds and p = det_prime(D, B), the matrix is
     evaluated at x = 0, 1, ..., D modulo p, one point at a time, and each
     determinant is taken by Gaussian elimination mod p.  Newton interpolation
     gives det A mod p; since every coefficient lies in [-B, B], the balanced
@@ -314,12 +329,7 @@ def det_by_interpolation(matrix) -> QPoly:
     degree, bound = det_bounds(rows)
     if bound == 0:
         return QPoly()
-    p = DET_PRIME
-    # Soundness: the balanced lift needs p > 2B + 1, and the D + 1 points
-    # must stay distinct mod p.
-    if not (p > 2 * bound + 1 and p > degree):
-        raise ValueError(f"coefficient bound 2^{bound.bit_length()} is too "
-                         "large for DET_PRIME")
+    p = det_prime(degree, bound)
     # Each distinct entry is evaluated once per point.
     index = {}
     layout = [[index.setdefault(e, len(index)) for e in row] for row in rows]

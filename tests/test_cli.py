@@ -7,7 +7,7 @@ import pytest
 
 from oddsym import form, hopf, rsk
 from oddsym.combinat import matrices_with_margins
-from oddsym.cli import MAX_WORD_DEGREE, main, parse_colored, parse_parts
+from oddsym.cli import MAX_WORD_DEGREE, main, parse_colored, parse_parts, parse_q
 
 
 def random_composition(rng, n):
@@ -25,6 +25,17 @@ class TestParsing:
         assert parse_parts("3,1^2") == (3, 1, 1)
         assert parse_parts("2^2,1") == (2, 2, 1)
         assert parse_parts(f"1^{MAX_WORD_DEGREE}") == (1,) * MAX_WORD_DEGREE
+
+    def test_ascii_signs_and_spaces_around_commas(self):
+        assert parse_parts("+3") == (3,)
+        assert parse_parts(" 2 , 2 ") == parse_parts("2,2")
+        assert parse_parts("2 ^ 2") == (2, 2)
+        assert parse_q("-1") == -1 and parse_q("+3") == 3
+
+    @pytest.mark.parametrize("text", ["\uff12", "1_0", " 2", "2 ", "0x2", "--2"])
+    def test_integer_tokens_are_ascii_digits(self, text):
+        with pytest.raises(ValueError):
+            parse_q(text)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -429,6 +440,13 @@ class TestExitCodes:
              "expected generic or an integer for q: 'x'"),
             (["gram", "--degree", "3", "--q", "2.5"],
              "expected generic or an integer for q: '2.5'"),
+            (["pair", "--left", "\uff12", "--right", "2", "--q", "-1"],
+             "expected comma-separated positive integers, k^m for m copies "
+             "of k: '\uff12'"),
+            (["pair", "--left", "2", "--right", "2", "--q", "1_0"],
+             "expected generic or an integer for q: '1_0'"),
+            (["pair", "--left", "2", "--right", "2", "--q", " -1"],
+             "expected generic or an integer for q: ' -1'"),
         ],
     )
     def test_parse_error_names_the_expected_form(self, capsys, argv, message):
@@ -507,9 +525,9 @@ class TestExitCodes:
              "max degree of suite rsk must be in 1..7"),
             (["kostka", "--degree", "9"], "degree must be in 1..8"),
             (["gram", "--degree", "0"], "degree must be in 1..8"),
-            (["det", "--degree", "1"], "degree must be in 2..6"),
-            (["det", "--degree", "7"], "degree must be in 2..6"),
-            (["det", "--degree", "9"], "degree must be in 2..6"),
+            (["det", "--degree", "1"], "degree must be in 2..7"),
+            (["det", "--degree", "8"], "degree must be in 2..7"),
+            (["det", "--degree", "9"], "degree must be in 2..7"),
             (["rsk", "--verify", "8"], "verify degree must be in 1..7"),
         ],
     )

@@ -14,6 +14,7 @@ from oddsym.gramdet import (
     gram_det,
     gram_matrix,
     radical_rank,
+    reversal_blocks,
 )
 from oddsym.polyq import QPoly, qint
 
@@ -77,7 +78,7 @@ class TestGramMatrix:
 
 class TestDeterminant:
     def test_degree_formula_values(self):
-        assert [det_degree_formula(n) for n in range(2, 7)] == [1, 7, 31, 111, 351]
+        assert [det_degree_formula(n) for n in range(2, 8)] == [1, 7, 31, 111, 351, 1023]
 
     def test_degree_two_det(self):
         assert gram_det(2) == QPoly((0, 1))
@@ -110,13 +111,50 @@ class TestDeterminant:
 
     def test_bound(self):
         with pytest.raises(ValueError):
-            gram_det(7)
+            gram_det(8)
 
     def test_q_two_cross_check_rejects_a_wrong_determinant(self, monkeypatch):
         wrong = gram_det(3) + QPoly.monomial(2)
         monkeypatch.setattr(gramdet, "det_by_interpolation", lambda rows: wrong)
         with pytest.raises(ArithmeticError):
             gram_det.__wrapped__(3)
+
+
+class TestReversalBlocks:
+    """The reversal symmetry behind gram_det and its block factorization."""
+
+    def test_pairing_is_reversal_and_transpose_invariant(self):
+        from oddsym.combinat import compositions_of
+        from oddsym.form import pair_h_generic
+
+        for n in range(1, 7):
+            comps = compositions_of(n)
+            for b in comps:
+                for a in comps:
+                    value = pair_h_generic(b, a)
+                    assert value == pair_h_generic(b[::-1], a[::-1]), (b, a)
+                    assert value == pair_h_generic(a, b), (b, a)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_blocks_multiply_to_the_full_determinant(self, n):
+        # Bareiss over Z[q] on every matrix: no interpolation involved
+        from oddsym.polyq import det_exact
+
+        plus, minus = reversal_blocks(n)
+        _, rows = gram_matrix(n)
+        full = det_exact(rows)
+        product = det_exact(plus) * det_exact(minus)
+        assert product == full
+        assert (product if product.leading_coefficient() > 0 else -product) == gram_det(n)
+
+    def test_block_sizes(self):
+        # 2^(n-1) compositions, 2^floor(n/2) of them palindromes
+        for n in range(1, 7):
+            plus, minus = reversal_blocks(n)
+            palindromes = 2 ** (n // 2)
+            assert len(plus) - len(minus) == palindromes
+            assert len(plus) + len(minus) == 2 ** (n - 1)
+        assert [len(b) for b in reversal_blocks(6)] == [20, 12]
 
 
 class TestFactors:

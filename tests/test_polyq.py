@@ -5,12 +5,13 @@ import pytest
 from oddsym.polyq import (
     ONE,
     Q,
-    DET_PRIME,
+    DET_PRIMES,
     QPoly,
     ZERO,
     det_bounds,
     det_by_interpolation,
     det_exact,
+    det_prime,
     divide_out,
     kernel_basis,
     qfactorial,
@@ -189,10 +190,23 @@ class TestInterpolation:
     def test_bound_beyond_the_prime(self):
         assert det_by_interpolation([[QPoly((-(2**253),))]]) == QPoly((-(2**253),))
         with pytest.raises(ValueError):
-            det_by_interpolation([[QPoly((2**254,))]])
+            det_by_interpolation([[QPoly((2**521,))]])
+
+    def test_prime_chosen_by_bound(self):
+        assert DET_PRIMES == (2**255 - 19, 2**521 - 1)
+        assert det_prime(*det_bounds([[QPoly((2**253,))]])) == 2**255 - 19
+        # B >= 2^254 breaks p > 2B + 1 for the first prime
+        m = [[QPoly((-(2**254),))]]
+        assert det_prime(*det_bounds(m)) == 2**521 - 1
+        assert det_by_interpolation(m) == QPoly((-(2**254),))
+        # the points 0..D must stay distinct mod p
+        assert det_prime(2**255 - 19, 1) == 2**521 - 1
+        with pytest.raises(ValueError):
+            det_prime(2**521, 1)
 
     def test_prime_is_prime(self):
-        assert is_probable_prime(DET_PRIME)
+        for p in DET_PRIMES:
+            assert is_probable_prime(p)
         assert not is_probable_prime(561)
         assert not is_probable_prime((2**61 - 1) * (2**127 - 1))
 
