@@ -36,12 +36,12 @@ def _bound(what: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{what} must be in {lo}..{hi}")
 
 
-def _int(token: str, expected: str, text: str) -> int:
-    """The integer of an ASCII token [+-]?[0-9]+, or a ValueError that names
-    the expected form and echoes the whole input text.  int() alone would
-    also take other Unicode digits, underscores and surrounding whitespace."""
+def _int(token: str, expected: str, text: str | None = None) -> int:
+    """The integer of an ASCII token [+-]?[0-9]+, or a ValueError naming the
+    expected form and echoing the input text (by default the token).  int()
+    would also take other Unicode digits, underscores and whitespace."""
     if INTEGER.fullmatch(token) is None:
-        raise ValueError(f"expected {expected}: {text!r}")
+        raise ValueError(f"expected {expected}: {token if text is None else text!r}")
     return int(token)
 
 
@@ -49,7 +49,7 @@ def parse_q(text: str):
     """--q: "generic" or an integer of absolute value at most 2^64."""
     if text == "generic":
         return text
-    q = _int(text, "generic or an integer for q", text)
+    q = _int(text, "generic or an integer for q")
     _bound("--q", q, -(2**64), 2**64)
     return q
 
@@ -260,18 +260,20 @@ def cmd_expand(args) -> int:
 
 
 def cmd_kostka(args) -> int:
-    _bound("degree", args.degree, 1, 8)
-    parts, rows = bases.kostka_matrix(args.degree)
+    n = _int(args.degree, "an integer for --degree")
+    _bound("degree", n, 1, 8)
+    parts, rows = bases.kostka_matrix(n)
     emit_table(args, parts, parts, rows,
-               f"signed Kostka numbers, degree {args.degree} (rows = shape)")
+               f"signed Kostka numbers, degree {n} (rows = shape)")
     return 0
 
 
 def cmd_gram(args) -> int:
-    _bound("degree", args.degree, 1, 8)
-    labels, rows = gramdet.gram_matrix(args.degree, parse_q(args.q), args.basis)
+    n = _int(args.degree, "an integer for --degree")
+    _bound("degree", n, 1, 8)
+    labels, rows = gramdet.gram_matrix(n, parse_q(args.q), args.basis)
     title = "" if args.format == "json" else (
-        f"Gram matrix, degree {args.degree}, q = {args.q}")
+        f"Gram matrix, degree {n}, q = {args.q}")
     emit_table(args, labels, labels, rows, title)
     return 0
 
@@ -280,8 +282,9 @@ def cmd_rsk(args) -> int:
     if (args.matrix is None) == (args.verify is None):
         raise ValueError("pass exactly one of --matrix or --verify")
     if args.verify is not None:
-        _bound("verify degree", args.verify, 1, 7)
-        report = rsk_verify_degree(args.verify)
+        n = _int(args.verify, "an integer for --verify")
+        _bound("verify degree", n, 1, 7)
+        report = rsk_verify_degree(n)
         if args.format == "json":
             flat = [e for cls in report["classes"] for e in cls["matrices"]]
             print(json.dumps(flat))
@@ -319,7 +322,7 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_det(args) -> int:
-    n = args.degree
+    n = _int(args.degree, "an integer for --degree")
     _bound("degree", n, 2, gramdet.GENERIC_DET_BOUND)
     report = gramdet.det_degree_check(n)
     payload = {"degree_check": report}
@@ -385,11 +388,12 @@ def run_suite(suite: str, max_degree: int):
 
 
 def cmd_verify(args) -> int:
-    _bound(f"max degree of suite {args.suite}", args.max_degree, 1,
+    max_degree = _int(args.max_degree, "an integer for --max-degree")
+    _bound(f"max degree of suite {args.suite}", max_degree, 1,
            VERIFY_MAX_DEGREE[args.suite])
     failures = []
     results = []
-    for name, witness in run_suite(args.suite, args.max_degree):
+    for name, witness in run_suite(args.suite, max_degree):
         results.append({"check": name, "ok": not witness})
         if args.format != "json":
             note = ""
@@ -477,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("kostka", help="signed Kostka table for one degree")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", required=True)
     add_format(p, with_csv=True)
     p.set_defaults(func=cmd_kostka)
 
     p = sub.add_parser("gram", help="Gram matrix of the pairing")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", required=True)
     p.add_argument("--q", default="generic")
     p.add_argument("--basis", choices=("compositions", "partitions"),
                    default="compositions")
@@ -491,20 +495,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rsk", help="RSK of a matrix, or exhaustive sign check")
     p.add_argument("--matrix", help="JSON list of rows")
-    p.add_argument("--verify", type=int, metavar="DEGREE",
+    p.add_argument("--verify", metavar="DEGREE",
                    help="check the sign theorem for all margins of this weight")
     add_format(p)
     p.set_defaults(func=cmd_rsk)
 
     p = sub.add_parser("det", help="Gram determinant analysis")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", required=True)
     p.add_argument("--factors", action="store_true")
     add_format(p)
     p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=VERIFY_MAX_DEGREE, required=True)
-    p.add_argument("--max-degree", dest="max_degree", type=int, default=5)
+    p.add_argument("--max-degree", dest="max_degree", default="5")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

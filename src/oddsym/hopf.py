@@ -10,7 +10,6 @@ omega_sign_twist_reverse for the two inequivalent composites.
 """
 
 from functools import lru_cache
-from math import gcd, lcm
 
 from . import bases, oddring
 from .combinat import (
@@ -229,16 +228,17 @@ def primitives(n: int) -> tuple[OddElt, ...]:
     """Integer basis of the primitive subspace in degree n, computed as the
     perpendicular of the span of all products of positive-degree elements.
 
-    The kernel is found over the rationals and cleared to a primitive
-    integer vector; dimension is 1 for n = 1 and n even, else 0.
+    That span is spanned by the h_k h_mu with 1 <= k < n and mu a partition
+    of n - k, since h_lam h_mu = h_lam1 (h_(lam2, ...) h_mu) and the h_nu
+    span each degree.  kernel_basis returns primitive integer vectors;
+    dimension is 1 for n = 1 and n even, else 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     parts = partitions_of(n)
     span_rows = [
-        [(h_elt(lam) * h_elt(mu)).coefficient(p) for p in parts]
+        [h_elt((k,) + mu).coefficient(p) for p in parts]
         for k in range(1, n)
-        for lam in partitions_of(k)
         for mu in partitions_of(n - k)
     ]
     gram = oddring.gram_h(n)
@@ -248,13 +248,8 @@ def primitives(n: int) -> tuple[OddElt, ...]:
         [sum(row[j] * gram[j][i] for j in range(len(parts))) for i in range(len(parts))]
         for row in span_rows
     ] or [[0] * len(parts)]
-    out = []
-    for vec in kernel_basis(constraint):
-        denom = lcm(*(x.denominator for x in vec))
-        ints = [int(x * denom) for x in vec]
-        g = gcd(*ints)
-        out.append(OddElt({parts[i]: v // g for i, v in enumerate(ints) if v}))
-    return tuple(out)
+    return tuple(OddElt({parts[i]: v for i, v in enumerate(vec) if v})
+                 for vec in kernel_basis(constraint))
 
 
 def is_primitive(x: OddElt) -> bool:

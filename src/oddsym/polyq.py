@@ -1,19 +1,17 @@
 """Exact integer polynomials in q and exact linear algebra.
 
 QPoly is a dense, canonical (no trailing zeros) coefficient list over
-arbitrary-precision ints.  det_exact is fraction-free Bareiss elimination over
-nested lists whose entries support +, -, * and exact //, so it serves both ZZ
-and ZZ[q].  det_by_interpolation computes the determinant of a QPoly matrix
-without multiplying polynomials: it evaluates the matrix at the points
-0, 1, ..., D modulo the first prime of the fixed list DET_PRIMES above twice a
-proven coefficient bound, takes each determinant by Gaussian elimination
-mod p, interpolates, and lifts the coefficients to the balanced residues.
-rank_exact, unimodular_inverse and kernel_basis read their answers off one
-Gauss-Jordan reduction over Q.
+arbitrary-precision ints.  One fraction-free (Bareiss) elimination over nested
+lists whose entries support +, -, * and exact //, so over both ZZ and ZZ[q],
+gives det_exact and rank_exact forward only, and unimodular_inverse and
+kernel_basis (primitive integer vectors) from its reduced form.  The only
+other elimination is mod p, inside det_by_interpolation: the determinant of a
+QPoly matrix with no polynomial products, from its values at 0, 1, ..., D
+modulo the first prime of DET_PRIMES above twice a proven coefficient bound,
+interpolated and lifted to the balanced residues.
 """
 
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class QPoly:
@@ -235,7 +233,8 @@ def divide_out(p: QPoly, f: QPoly) -> tuple[int, QPoly]:
 
 
 def det_exact(matrix):
-    """Exact determinant by fraction-free Bareiss elimination.
+    """Exact determinant: +-d from the forward fraction-free elimination, or
+    a zero of the entry type when a column has no pivot.
 
     Works over any integral domain whose elements support +, -, * and exact
     floor division (ints and QPoly both qualify); no rounding anywhere.
@@ -243,31 +242,53 @@ def det_exact(matrix):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
+    _, pivots, sign, d = _fraction_free(matrix)
+    if len(pivots) < n:
+        return matrix[0][0] * 0
+    return d if sign == 1 else -d
+
+
+def _fraction_free(matrix, reduced=False):
+    """Fraction-free (Bareiss) elimination over an integral domain:
+    (m, pivots, sign, d).
+
+    At pivot p each row to clear becomes (p * row - f * pivot row) // prev,
+    f its entry in the pivot column and prev the previous pivot (1 at
+    first); the division is exact, every entry being a minor of the input.
+    A column with no pivot is skipped.  sign is the parity of the row swaps
+    and d the last pivot: a square matrix with n pivots has det = sign * d.
+    Forward only the rows below each pivot are cleared; with reduced=True
+    also those above, and m is d times the reduced row echelon form over Q.
+    """
     m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if _is_zero_entry(m[k][k]):
-            for i in range(k + 1, n):
-                if not _is_zero_entry(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[0][0] * 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = m[k][k] * 0
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _is_zero_entry(x) -> bool:
-    return x.is_zero() if isinstance(x, QPoly) else x == 0
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[col]
+        zero = p * 0
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            # Left of col a lower row is zero; a row above scales by p / prev.
+            lo = 0 if i < r else col + 1
+            row = m[i]
+            f = row[col]
+            row[lo:] = [(p * a - f * b) // prev for a, b in zip(row[lo:], prow[lo:])]
+            row[col] = zero
+        prev = p
+        pivots.append(col)
+    return m, pivots, sign, prev
 
 
 # The primes of det_by_interpolation, tried in order: the Curve25519 field
@@ -392,41 +413,14 @@ def _interpolate(values, p: int) -> list[int]:
     return poly
 
 
-def _rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q of a rational matrix, by Gauss-Jordan
-    elimination on Fractions, together with its pivot columns."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        piv = next((i for i in range(row, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        # Left of col the pivot row is zero, so only the columns from col on
-        # change.
-        pv = m[row][col]
-        tail = [x / pv for x in m[row][col:]]
-        m[row][col:] = tail
-        for i in range(nrows):
-            f = m[i][col]
-            if i != row and f != 0:
-                m[i][col:] = [a - f * b for a, b in zip(m[i][col:], tail)]
-        pivots.append(col)
-    return m, pivots
-
-
 def rank_exact(matrix) -> int:
-    """Rank over Q of an integer matrix: the number of pivots."""
-    return len(_rref(matrix)[1])
+    """Rank of an integer matrix: the number of pivots."""
+    return len(_fraction_free(matrix)[1])
 
 
 def unimodular_inverse(matrix) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1, read off the
-    reduced form of [A | I].
+    """Exact inverse of an integer matrix with determinant +-1: the right
+    block of the reduced form d (I | A^-1) of [A | I], times d = +-1.
 
     Raises ValueError unless A is invertible with an integral inverse, which
     for an integer matrix is the same as det A = +-1.
@@ -434,30 +428,32 @@ def unimodular_inverse(matrix) -> list[list[int]]:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    m, pivots = _rref(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    m, pivots, _, d = _fraction_free(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)],
+        reduced=True,
     )
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    inv = [row[n:] for row in m]
-    if any(x.denominator != 1 for row in inv for x in row):
+    if d not in (1, -1):
         raise ValueError("matrix is not unimodular: the inverse is not integral")
-    return [[int(x) for x in row] for row in inv]
+    return [[x * d for x in row[n:]] for row in m]
 
 
-def kernel_basis(matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix, one vector per free
-    column of the reduced row echelon form."""
+def kernel_basis(matrix) -> list[list[int]]:
+    """Basis of the right kernel of an integer matrix, one vector per free
+    column of the reduced row echelon form: that column's vector over Q,
+    scaled to a primitive integer vector with a positive free entry."""
     if not matrix:
         return []
-    m, pivots = _rref(matrix)
+    m, pivots, _, d = _fraction_free(matrix, reduced=True)
     basis = []
     for fc in range(len(m[0])):
         if fc in pivots:
             continue
-        vec = [Fraction(0)] * len(m[0])
-        vec[fc] = Fraction(1)
+        vec = [0] * len(m[0])
+        vec[fc] = d
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
-        basis.append(vec)
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        basis.append([v // g for v in vec])
     return basis

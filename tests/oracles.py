@@ -4,6 +4,8 @@ The library computes each pairing one way; the routes here compute the same
 numbers independently so the tests can compare them entry by entry.
 """
 
+from fractions import Fraction
+
 from oddsym import oddring
 from oddsym.bases import basis_matrix, forgotten
 from oddsym.combinat import (
@@ -66,3 +68,29 @@ def _matmul_int(a, b):
     return [
         [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)
     ]
+
+
+def rref_over_q(matrix):
+    """Reduced row echelon form over Q of a rational matrix, by Gauss-Jordan
+    elimination on Fractions, together with its pivot columns: the reference
+    for the fraction-free elimination of oddsym.polyq."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        piv = next((i for i in range(row, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        pv = m[row][col]
+        tail = [x / pv for x in m[row][col:]]
+        m[row][col:] = tail
+        for i in range(nrows):
+            f = m[i][col]
+            if i != row and f != 0:
+                m[i][col:] = [a - f * b for a, b in zip(m[i][col:], tail)]
+        pivots.append(col)
+    return m, pivots

@@ -447,6 +447,13 @@ class TestExitCodes:
              "expected generic or an integer for q: '1_0'"),
             (["pair", "--left", "2", "--right", "2", "--q", " -1"],
              "expected generic or an integer for q: ' -1'"),
+            # int() would read these four as 8, 2, 2 and 10
+            (["kostka", "--degree", "\uff18"],
+             "expected an integer for --degree: '\uff18'"),
+            (["gram", "--degree", " 2"], "expected an integer for --degree: ' 2'"),
+            (["verify", "--suite", "hopf", "--max-degree", "\uff12"],
+             "expected an integer for --max-degree: '\uff12'"),
+            (["rsk", "--verify", "1_0"], "expected an integer for --verify: '1_0'"),
         ],
     )
     def test_parse_error_names_the_expected_form(self, capsys, argv, message):

@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oddsym.polyq import (
     ONE,
@@ -19,6 +23,9 @@ from oddsym.polyq import (
     rank_exact,
     unimodular_inverse,
 )
+
+from oracles import rref_over_q
+from test_oddring import PROPERTY
 
 
 def rand_poly(rng, max_deg=4, span=5):
@@ -230,9 +237,9 @@ class TestUnimodular:
         assert unimodular_inverse(eye) == eye
 
     def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not unimodular"):
             unimodular_inverse([[2, 0], [0, 1]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="singular"):
             unimodular_inverse([[1, 2], [2, 4]])
 
     @pytest.mark.parametrize("kind", ["hh", "ee"])
@@ -279,3 +286,84 @@ class TestRankAndKernel:
         assert len(basis) == 2
         for vec in basis:
             assert sum(c * v for c, v in zip((1, 2, 3), vec)) == 0
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 6 x 7 with entries -3..3, square about half the
+    time.  Up to two columns are replaced by combinations of the columns
+    before them, so that free columns fall between pivot columns, and up to
+    two rows and two columns are zeroed."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 7))
+    entries = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    m = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    combined = (draw(st.sets(st.integers(1, ncols - 1), max_size=2))
+                if ncols > 1 else set())
+    for j in sorted(combined):
+        w = draw(st.lists(st.integers(-2, 2), min_size=j, max_size=j))
+        for row in m:
+            row[j] = sum(c * x for c, x in zip(w, row))
+    rows = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    return [[0 if i in rows or j in cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def unitriangular_product(m):
+    """L U with L and U unitriangular, L from the strict lower part of the
+    square matrix m and U from its strict upper part: det = 1."""
+    n = len(m)
+    lower = [[m[i][j] if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[m[i][j] if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def inverse_or_error(matrix):
+    try:
+        return unimodular_inverse(matrix)
+    except ValueError as exc:
+        return str(exc)
+
+
+def primitive(vec):
+    """A rational vector cleared to a primitive integer vector, same sign."""
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
+class TestAgainstRationalOracle:
+    """The fraction-free elimination against Gauss-Jordan over Fractions."""
+
+    @PROPERTY
+    @given(integer_matrices())
+    def test_rank_det_inverse_and_kernel(self, m):
+        ncols = len(m[0])
+        reduced, pivots = rref_over_q(m)
+        assert rank_exact(m) == len(pivots)
+        free = [c for c in range(ncols) if c not in pivots]
+        want = []
+        for fc in free:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                vec[pc] = -reduced[r][fc]
+            want.append(primitive(vec))
+        assert kernel_basis(m) == want
+        if len(m) != ncols:
+            return
+        assert det_exact(m) == det_cofactor(m)
+        for a in (m, unitriangular_product(m)):
+            n = len(a)
+            aug, aug_pivots = rref_over_q(
+                [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+            if aug_pivots[:n] != list(range(n)):
+                want = "matrix is singular"
+            elif any(x.denominator != 1 for row in aug for x in row[n:]):
+                want = "matrix is not unimodular: the inverse is not integral"
+            else:
+                want = [[int(x) for x in row[n:]] for row in aug]
+            assert inverse_or_error(a) == want
