@@ -81,7 +81,7 @@ def _row(table, mu):
 def monomial(mu) -> OddElt:
     """Dual basis vector to h_mu: (h_lam, m_mu) = delta, a row of the
     inverse (h,h) Gram matrix."""
-    return OddElt(dict(_row(oddring.gram_h_inverse(sum(mu)), mu)))
+    return OddElt._trusted(dict(_row(oddring.gram_h_inverse(sum(mu)), mu)))
 
 
 def forgotten(mu) -> OddElt:
@@ -105,7 +105,7 @@ def _schur_table(n: int):
 
 
 def schur(lam) -> OddElt:
-    return OddElt(dict(_row(_schur_table(sum(lam)), lam)))
+    return OddElt._trusted(dict(_row(_schur_table(sum(lam)), lam)))
 
 
 def power_sum(n: int) -> OddElt:

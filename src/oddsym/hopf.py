@@ -19,7 +19,7 @@ from .combinat import (
     transpose,
     triangular_sum,
 )
-from .oddring import OddElt, coproduct, e_elt, h_elt, linear_combination, pair
+from .oddring import OddElt, coproduct, e_elt, h_elt, linear_combination, normalize_word
 from .polyq import kernel_basis
 
 
@@ -28,11 +28,8 @@ def omega(x: OddElt) -> OddElt:
 
 
 def sign_twist(x: OddElt) -> OddElt:
-    return OddElt(
-        {
-            lam: (c if triangular_sum(lam) % 2 == 0 else -c)
-            for lam, c in x.terms.items()
-        }
+    return OddElt._trusted(
+        {lam: -c if triangular_sum(lam) % 2 else c for lam, c in x.terms.items()}
     )
 
 
@@ -83,7 +80,7 @@ def omega_sign_twist_reverse(x: OddElt) -> OddElt:
 
 def _convolve(f, g, x: OddElt) -> OddElt:
     return linear_combination(
-        (c, f(OddElt({p1: 1})) * g(OddElt({p2: 1})))
+        (c, f(OddElt._trusted({p1: 1})) * g(OddElt._trusted({p2: 1})))
         for (p1, p2), c in coproduct(x).items()
     )
 
@@ -195,26 +192,36 @@ def schur_action_check(n: int) -> list:
 
 def adjointness_check(n: int) -> list:
     """(y1 (x) y2, Delta x) = (y1 y2, x) over all h-basis triples of total
-    degree at most n."""
+    degree at most n, witnesses in the order (d1, y1, d2, y2, x).
+
+    Each split checks Delta_{d1,d2} (G_d1 (x) G_d2) = M_{d1,d2} G_{d1+d2}, G the
+    Gram matrices: the left side contracts D_x, the (d1, d2) block of Delta h_x,
+    with G_d2 over p2 and then G_d1 over p1; row (y1, y2) of M is h_y1 h_y2.
+    """
+    gram = [oddring._gram_rows(d) for d in range(n + 1)]
+    blocks: dict = {}  # d1 -> x -> p1 -> [(p2, coeff)]
+    for x in (x for d in range(n + 1) for x in partitions_of(d)):
+        for (p1, p2), c in coproduct(h_elt(x)).items():
+            block = blocks.setdefault(sum(p1), {}).setdefault(x, {})
+            block.setdefault(p1, []).append((p2, c))
     failures = []
-    coproducts = {
-        xp: coproduct(h_elt(xp))
-        for total in range(n + 1)
-        for xp in partitions_of(total)
-    }
     for d1 in range(n + 1):
-        for y1p in partitions_of(d1):
-            y1 = h_elt(y1p)
+        half = {  # x -> [(row p1 of G_d1, row p1 of D_x G_d2)]
+            x: [(gram[d1][p1], [sum(c * gram[sum(x) - d1][p2][y2] for p2, c in row)
+                                for y2 in partitions_of(sum(x) - d1)])
+                for p1, row in block.items()]
+            for x, block in blocks.get(d1, {}).items()
+        }
+        for y1 in partitions_of(d1):
             for d2 in range(n + 1 - d1):
-                for y2p in partitions_of(d2):
-                    y2 = h_elt(y2p)
-                    prod = y1 * y2
-                    for xp in partitions_of(d1 + d2):
-                        lhs = oddring.pair_tensor(coproducts[xp], y1, y2)
-                        rhs = pair(prod, h_elt(xp))
+                for j, y2 in enumerate(partitions_of(d2)):
+                    row = normalize_word(y1 + y2)
+                    for x in partitions_of(d1 + d2):
+                        lhs = sum(g[y1] * t[j] for g, t in half.get(x, ()))
+                        rhs = sum(c * gram[d1 + d2][p][x] for p, c in row)
                         if lhs != rhs:
                             failures.append(
-                                {"y1": y1p, "y2": y2p, "x": xp, "lhs": lhs, "rhs": rhs}
+                                {"y1": y1, "y2": y2, "x": x, "lhs": lhs, "rhs": rhs}
                             )
     return failures
 
@@ -248,7 +255,7 @@ def primitives(n: int) -> tuple[OddElt, ...]:
         [sum(row[j] * gram[j][i] for j in range(len(parts))) for i in range(len(parts))]
         for row in span_rows
     ] or [[0] * len(parts)]
-    return tuple(OddElt({parts[i]: v for i, v in enumerate(vec) if v})
+    return tuple(OddElt._trusted({parts[i]: v for i, v in enumerate(vec) if v})
                  for vec in kernel_basis(constraint))
 
 

@@ -16,8 +16,12 @@ M' c = [(h_mu, w)]_mu, with M' the partition Gram matrix (determinant +-1).
 
 The form on the quotient dots the coefficients of y with the row p of the
 memoized partition Gram matrix to give (h_p, y); pair and pair_tensor both
-sum these values, and pair_tensor evaluates each one it needs once per call.
-Linear combinations of elements are summed in one dict (linear_combination).
+sum these values.  Linear combinations of elements are summed in one dict
+(linear_combination).
+
+OddElt(terms) checks that every key is a partition, since that is where
+outside input enters.  Results built from normal forms, memo tables or the
+keys of other elements come through OddElt._trusted, which skips the check.
 """
 
 from functools import lru_cache
@@ -70,22 +74,26 @@ class OddElt:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for part, coeff in (terms or {}).items():
-            part = tuple(part)
+        terms = {tuple(part): coeff for part, coeff in (terms or {}).items()}
+        for part in terms:
             if not is_partition(part):
                 raise ValueError(f"not a partition: {part}")
-            if coeff:
-                clean[part] = coeff
-        self.terms = clean
+        self.terms = {p: c for p, c in terms.items() if c}
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "OddElt":
+        """An element whose keys are known to be partitions: no check."""
+        x = cls.__new__(cls)
+        x.terms = {p: c for p, c in terms.items() if c}
+        return x
 
     @classmethod
     def zero(cls) -> "OddElt":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "OddElt":
-        return cls({(): 1})
+        return cls._trusted({(): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -107,10 +115,10 @@ class OddElt:
         return linear_combination(((1, self), (-1, other)))
 
     def __neg__(self):
-        return OddElt({p: -c for p, c in self.terms.items()})
+        return OddElt._trusted({p: -c for p, c in self.terms.items()})
 
     def scale(self, k: int) -> "OddElt":
-        return OddElt({p: k * c for p, c in self.terms.items()})
+        return OddElt._trusted({p: k * c for p, c in self.terms.items()})
 
     def __rmul__(self, k):
         if isinstance(k, int):
@@ -125,7 +133,7 @@ class OddElt:
             for p2, c2 in other.terms.items():
                 for part, c in normalize_word(p1 + p2):
                     out[part] = out.get(part, 0) + c1 * c2 * c
-        return OddElt(out)
+        return OddElt._trusted(out)
 
     def degrees(self) -> set[int]:
         return {sum(p) for p in self.terms}
@@ -155,12 +163,12 @@ def linear_combination(pairs) -> OddElt:
     for k, x in pairs:
         for p, c in x.terms.items():
             out[p] = out.get(p, 0) + k * c
-    return OddElt(out)
+    return OddElt._trusted(out)
 
 
 def h_elt(parts) -> OddElt:
     """Image of the h-word with the given subscripts (any order)."""
-    return OddElt(dict(normalize_word(tuple(parts))))
+    return OddElt._trusted(dict(normalize_word(tuple(parts))))
 
 
 def normalize(terms) -> OddElt:
@@ -171,7 +179,7 @@ def normalize(terms) -> OddElt:
     for word, coeff in terms.items():
         for part, c in normalize_word(tuple(word)):
             out[part] = out.get(part, 0) + coeff * c
-    return OddElt(out)
+    return OddElt._trusted(out)
 
 
 @lru_cache(maxsize=None)

@@ -94,3 +94,28 @@ def rref_over_q(matrix):
                 m[i][col:] = [a - f * b for a, b in zip(m[i][col:], tail)]
         pivots.append(col)
     return m, pivots
+
+
+def adjointness_per_triple(n: int) -> list:
+    """(y1 (x) y2, Delta x) = (y1 y2, x) triple by triple: the tensor pairing
+    of the coproduct against pair of the product, for every h-basis triple of
+    total degree at most n, witnesses in the order (d1, y1, d2, y2, x)."""
+    h = oddring.h_elt
+    coproducts = {
+        x: oddring.coproduct(h(x)) for total in range(n + 1) for x in partitions_of(total)
+    }
+    failures = []
+    for d1 in range(n + 1):
+        for y1p in partitions_of(d1):
+            for d2 in range(n + 1 - d1):
+                for y2p in partitions_of(d2):
+                    y1, y2 = h(y1p), h(y2p)
+                    prod = y1 * y2
+                    for xp in partitions_of(d1 + d2):
+                        lhs = oddring.pair_tensor(coproducts[xp], y1, y2)
+                        rhs = oddring.pair(prod, h(xp))
+                        if lhs != rhs:
+                            failures.append(
+                                {"y1": y1p, "y2": y2p, "x": xp, "lhs": lhs, "rhs": rhs}
+                            )
+    return failures

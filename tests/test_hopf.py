@@ -1,5 +1,6 @@
 import pytest
 
+from oddsym import oddring
 from oddsym.combinat import partitions_of, reverse_sort_sign
 from oddsym.hopf import (
     adjointness_check,
@@ -21,6 +22,7 @@ from oddsym.hopf import (
     sign_twist,
 )
 from oddsym.oddring import OddElt, coproduct, e_letter, h_elt, linear_combination, pair
+from oracles import adjointness_per_triple
 
 
 def left_convolution(f, x: OddElt) -> OddElt:
@@ -137,6 +139,27 @@ class TestRelations:
     @pytest.mark.parametrize("n", range(0, 6))
     def test_adjointness(self, n):
         assert not adjointness_check(n)
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["exact", "faulty_coproduct"])
+    def test_adjointness_matches_per_triple_oracle(self, monkeypatch, faulty):
+        # The split identity must report exactly the witnesses of the
+        # triple-by-triple route, in the same order; a coproduct with one
+        # component sign-flipped on words containing a 3 makes both fail.
+        if faulty:
+            exact = oddring._coproduct_word
+
+            def flipped(word):
+                terms = exact(word)
+                if 3 not in word:
+                    return terms
+                (key, c), *rest = terms
+                return ((key, -c), *rest)
+
+            monkeypatch.setattr(oddring, "_coproduct_word", flipped)
+        for n in range(7):
+            got, want = adjointness_check(n), adjointness_per_triple(n)
+            assert got == want, n
+        assert bool(got) == faulty
 
 
 class TestPrimitives:

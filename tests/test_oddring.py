@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddsym.bases import monomial, schur
 from oddsym.combinat import compositions_of, partitions_of, transpose
 from oddsym.form import E, H, e_word, h_word, pair_words_odd
-from oddsym.hopf import antipode
+from oddsym.hopf import antipode, sign_twist
 from oddsym.oddring import (
     OddElt,
     coproduct,
@@ -120,6 +121,33 @@ class TestGramRoute:
             for hw, c in expand_colored_word(w).items():
                 expanded[hw] = expanded.get(hw, 0) + c
             assert normalize_via_gram({w: 1}) == normalize(expanded)
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("key", [(1, 2), (0,), (2, 0)])
+    def test_rejects_a_key_that_is_not_a_partition(self, key):
+        with pytest.raises(ValueError, match="not a partition"):
+            OddElt({key: 1})
+
+    @PROPERTY
+    @given(
+        elements(range(4)),
+        elements(range(4)),
+        st.integers(-3, 3),
+        st.lists(st.integers(1, 4), max_size=4).map(tuple),
+        st.sampled_from([lam for n in range(1, 6) for lam in partitions_of(n)]),
+    )
+    def test_results_pass_the_public_check(self, x, y, k, word, lam):
+        # Results skip the partition check of OddElt(...); rebuilding each one
+        # through it shows that no key it would reject gets in.
+        results = [
+            x * y, x + y, x - y, -x, x.scale(k),
+            linear_combination(((k, x), (1, y))),
+            h_elt(word), normalize({word: k, lam: 1}), e_elt(word),
+            antipode(x), sign_twist(x), monomial(lam), schur(lam),
+        ]
+        for r in results:
+            assert OddElt(r.terms) == r
 
 
 class TestRingStructure:
