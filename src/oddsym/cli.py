@@ -16,7 +16,7 @@ import sys
 from importlib import resources
 
 from . import bases, form, gramdet, hopf, oddring
-from .combinat import is_partition, partitions_of
+from .combinat import is_partition, matrix_sign, partitions_of
 from .polyq import QPoly
 from .rsk import rsk as rsk_map
 from .rsk import rsk_verify_degree, sign_record, sign_theorem_check
@@ -284,29 +284,33 @@ def cmd_rsk(args) -> int:
     if args.verify is not None:
         n = _int(args.verify, "an integer for --verify")
         _bound("verify degree", n, 1, 7)
-        report = rsk_verify_degree(n)
-        if args.format == "json":
-            flat = [e for cls in report["classes"] for e in cls["matrices"]]
-            print(json.dumps(flat))
-        else:
-            for cls in report["classes"]:
+        # each class is written as it arrives; the JSON chunks form one flat list
+        first_bad = None
+        sep = "["
+        for cls in rsk_verify_degree(n):
+            if args.format == "json":
+                sys.stdout.write(sep + json.dumps(cls["matrices"])[1:-1])
+                sep = ", "
+            else:
                 print(
                     f"margins {fmt_parts(cls['mu'])} x {fmt_parts(cls['rho'])}: "
                     f"{len(cls['matrices'])} matrices, signed sum "
                     f"{cls['aggregate_sign_count']}, "
                     f"{'ok' if cls['ok'] else 'FAIL'}"
                 )
-            print("degree", report["degree"], "PASS" if report["ok"] else "FAIL")
-        if not report["ok"]:
-            if args.format != "json":
-                bad = [c for c in report["classes"] if not c["ok"]]
-                print(json.dumps(bad[0]))
-            return 1
-        return 0
+            if first_bad is None and not cls["ok"]:
+                first_bad = cls
+        if args.format == "json":
+            print("]")
+        else:
+            print("degree", n, "PASS" if first_bad is None else "FAIL")
+            if first_bad is not None:
+                print(json.dumps(first_bad))
+        return 0 if first_bad is None else 1
     matrix = parse_matrix(args.matrix)
     _bound("matrix weight", sum(map(sum, matrix)), 0, 1000)
     _bound("matrix entry count", sum(map(len, matrix)), 1, 1000)
-    payload = sign_record(matrix, rsk_map(matrix))
+    payload = sign_record(matrix, rsk_map(matrix), matrix_sign(matrix))
     if args.format == "json":
         print(json.dumps(payload))
     else:

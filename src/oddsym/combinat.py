@@ -108,7 +108,7 @@ def sw_ne_pairs(lam) -> int:
 
 def shape_sign(lam) -> int:
     """(-1)^(lam_2 + lam_4 + ...), equal to (-1)^(T(lam^T) + |lam|)."""
-    return -1 if sum(lam[i] for i in range(1, len(lam), 2)) % 2 else 1
+    return -1 if sum(lam[1::2]) % 2 else 1
 
 
 def reverse_sort_sign(lam) -> int:
@@ -127,12 +127,12 @@ def reverse_sort_sign(lam) -> int:
 def inversions(word) -> int:
     """Strict inversions of a finite sequence."""
     word = tuple(word)
-    return sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
+    count = 0
+    for i, x in enumerate(word):
+        for y in word[i + 1 :]:
+            if x > y:
+                count += 1
+    return count
 
 
 def word_sign(word) -> int:
@@ -154,11 +154,11 @@ class Tableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = tuple(map(tuple, rows))
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     def content(self, width: int | None = None) -> tuple[int, ...]:
         """Multiplicity vector of the entries 1..width."""
@@ -181,17 +181,22 @@ class Tableau:
         return word_sign(self.row_word())
 
     def is_semistandard(self) -> bool:
-        if not is_partition(self.shape):
-            return False
+        """Nonempty rows no longer than the row above, entries at least 1,
+        weakly increasing along rows and strictly down columns."""
+        upper = None
         for r in self.rows:
-            if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
+            if not r or upper is not None and len(r) > len(upper):
                 return False
-            if any(x < 1 for x in r):
-                return False
-        for i in range(len(self.rows) - 1):
-            upper, lower = self.rows[i], self.rows[i + 1]
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
-                return False
+            prev = 1
+            for x in r:
+                if x < prev:
+                    return False
+                prev = x
+            if upper is not None:
+                for a, b in zip(upper, r):
+                    if a >= b:
+                        return False
+            upper = r
         return True
 
     def to_lists(self) -> list[list[int]]:

@@ -10,16 +10,11 @@ plactic ring imposes the same relations with a coefficient of -1.
 
 from bisect import bisect_right
 from collections import namedtuple
+from operator import sub
 
 from . import form
 from .bases import kostka_matrix, kostka_unsigned
-from .combinat import (
-    Tableau,
-    matrices_with_margins,
-    matrix_sign,
-    partitions_of,
-    shape_sign,
-)
+from .combinat import Tableau, partitions_of, row_fillings, shape_sign
 
 RskPair = namedtuple("RskPair", ["insertion", "recording"])
 
@@ -76,70 +71,43 @@ def odd_plactic_reduce(word) -> tuple[int, tuple[int, ...]]:
     return (-1 if parity else 1), tab.row_word()
 
 
-def knuth_neighbors(word):
-    """Words one elementary Knuth move away (either direction)."""
-    word = tuple(word)
-    out = set()
-    for i in range(len(word) - 2):
-        a, b, c = word[i : i + 3]
-        # (K'): y z x <-> y x z
-        y, z, x = a, b, c
-        if x < y <= z:
-            out.add(word[:i] + (y, x, z) + word[i + 3 :])
-        y, x, z = a, b, c
-        if x < y <= z:
-            out.add(word[:i] + (y, z, x) + word[i + 3 :])
-        # (K''): x z y <-> z x y
-        x, z, y = a, b, c
-        if x <= y < z:
-            out.add(word[:i] + (z, x, y) + word[i + 3 :])
-        z, x, y = a, b, c
-        if x <= y < z:
-            out.add(word[:i] + (x, z, y) + word[i + 3 :])
-    out.discard(word)
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # RSK
 
 
-def two_line_array(matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Book-reading two-line array of an N-matrix; an entry k stands for k
-    coincident unit entries."""
-    u, v = [], []
-    for i, row in enumerate(matrix):
-        for j, a in enumerate(row):
-            if a < 0:
-                raise ValueError("matrix entries must be nonnegative")
-            u.extend([i + 1] * a)
-            v.extend([j + 1] * a)
-    return tuple(u), tuple(v)
+def _insert_row(p_rows: list[list[int]], q_rows: list[list[int]], i: int, row) -> None:
+    """RSK of matrix row i (1-indexed) in place: each entry a in column j
+    inserts j into P a times and records i in Q where P grew."""
+    for j, a in enumerate(row, 1):
+        for _ in range(a):
+            r, _ = _bump(p_rows, j)
+            if r == len(q_rows):
+                q_rows.append([])
+            q_rows[r].append(i)
 
 
 def rsk(matrix) -> RskPair:
     """RSK bijection.  The insertion tableau has the column sums as content,
     the recording tableau the row sums."""
-    u, v = two_line_array(matrix)
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for uk, vk in zip(u, v):
-        r, _ = _bump(p_rows, vk)
-        if r == len(q_rows):
-            q_rows.append([])
-        q_rows[r].append(uk)
+    for i, row in enumerate(matrix, 1):
+        if any(a < 0 for a in row):
+            raise ValueError("matrix entries must be nonnegative")
+        _insert_row(p_rows, q_rows, i, row)
     return RskPair(Tableau(p_rows), Tableau(q_rows))
 
 
-def sign_record(matrix, pair: RskPair) -> dict:
-    """The signs of one N-matrix and its RSK image: the record that
-    `rsk --matrix` prints and odd_rsk_check keeps per matrix."""
+def sign_record(matrix, pair: RskPair, sign_a: int) -> dict:
+    """The signs of one N-matrix, sign(A) = (-1)^matrix_inv(A), and its RSK
+    image: the record that `rsk --matrix` prints and odd_rsk_check keeps per
+    matrix."""
     p, q = pair
     return {
         "matrix": [list(r) for r in matrix],
         "P": p.to_lists(),
         "Q": q.to_lists(),
-        "sign_A": matrix_sign(matrix),
+        "sign_A": sign_a,
         "sign_P": p.sign(),
         "sign_Q": q.sign(),
         "shape_sign": shape_sign(p.shape),
@@ -155,23 +123,42 @@ def odd_rsk_check(mu, rho) -> dict:
     map is then a bijection onto those pairs by counting: distinct images,
     as many as sum_lam K0[lam][rho] K0[lam][mu] with K0 the plain SSYT
     counts.  The signed count must equal the (h,h) entry and the Kostka sum.
+
+    One depth-first pass fills the rows top to bottom with row_fillings under
+    the column margins left, in the order of matrices_with_margins.  Each
+    row is inserted into copies of its parent's P and Q, so matrices sharing
+    their first rows share that work, and the row exponents sum to
+    matrix_inv, whose parity is sign(A).
     """
     mu, rho = tuple(mu), tuple(rho)
+    if sum(mu) != sum(rho):
+        raise ValueError("row and column margins have different weights")
     entries = []
     images = set()
-    for a in matrices_with_margins(mu, rho):
-        p, q = pair = rsk(a)
-        e = sign_record(a, pair)
-        e["ok"] = (
-            e["sign_A"] == e["shape_sign"] * e["sign_P"] * e["sign_Q"]
-            and p.shape == q.shape
-            and p.is_semistandard()
-            and q.is_semistandard()
-            and p.content(len(rho)) == rho
-            and q.content(len(mu)) == mu
-        )
-        images.add(pair)
-        entries.append(e)
+
+    def fill(i, rows, left, inv, p_rows, q_rows):
+        if i == len(mu):
+            p, q = pair = RskPair(Tableau(p_rows), Tableau(q_rows))
+            e = sign_record(rows, pair, -1 if inv % 2 else 1)
+            e["ok"] = (
+                e["sign_A"] == e["shape_sign"] * e["sign_P"] * e["sign_Q"]
+                and p.shape == q.shape
+                and p.is_semistandard()
+                and q.is_semistandard()
+                and p.content(len(rho)) == rho
+                and q.content(len(mu)) == mu
+            )
+            images.add((p.rows, q.rows))
+            entries.append(e)
+            return
+        # the last row is what the column margins leave, with no rows below
+        fillings = [(left, 0)] if i == len(mu) - 1 else row_fillings(mu[i], left, left)
+        for m, exp in fillings:
+            p, q = [list(r) for r in p_rows], [list(r) for r in q_rows]
+            _insert_row(p, q, i + 1, m)
+            fill(i + 1, rows + (m,), tuple(map(sub, left, m)), inv + exp, p, q)
+
+    fill(0, (), rho, 0, [], [])
     parts, table = kostka_matrix(sum(mu))
     pairs = sum(kostka_unsigned(lam, rho) * kostka_unsigned(lam, mu) for lam in parts)
     bijective = all(e["ok"] for e in entries) and len(images) == len(entries) == pairs
@@ -193,16 +180,18 @@ def odd_rsk_check(mu, rho) -> dict:
     }
 
 
-def rsk_verify_degree(n: int) -> dict:
-    """Exhaustive sign report over all partition-margin classes of weight n."""
-    reports = []
+def rsk_verify_degree(n: int):
+    """The odd_rsk_check reports of every partition-margin class of weight
+    n, yielded one class at a time so no record outlives its class."""
     for mu in partitions_of(n):
         for rho in partitions_of(n):
-            reports.append(odd_rsk_check(mu, rho))
-    return {"degree": n, "ok": all(r["ok"] for r in reports), "classes": reports}
+            yield odd_rsk_check(mu, rho)
 
 
 def sign_theorem_check(n: int) -> list:
     """The first margin class of weight n that fails odd_rsk_check, as a
     one-item list; empty when every class passes."""
-    return [c for c in rsk_verify_degree(n)["classes"] if not c["ok"]][:1]
+    for report in rsk_verify_degree(n):
+        if not report["ok"]:
+            return [report]
+    return []

@@ -9,6 +9,7 @@ from fractions import Fraction
 from oddsym import oddring
 from oddsym.bases import basis_matrix, forgotten
 from oddsym.combinat import (
+    is_partition,
     matrices_with_margins,
     matrix_sign,
     partitions_of,
@@ -16,6 +17,7 @@ from oddsym.combinat import (
 )
 from oddsym.form import _pair_h, htilde_expansion
 from oddsym.polyq import QPoly, unimodular_inverse
+from oddsym.rsk import rsk, sign_record
 
 
 def cable_sign(matrix) -> int:
@@ -119,3 +121,80 @@ def adjointness_per_triple(n: int) -> list:
                                 {"y1": y1p, "y2": y2p, "x": xp, "lhs": lhs, "rhs": rhs}
                             )
     return failures
+
+
+def odd_rsk_per_matrix(mu, rho) -> list:
+    """The records of odd_rsk_check(mu, rho)["matrices"], one matrix at a
+    time: each matrix of matrices_with_margins gets a fresh rsk, its sign
+    from matrix_sign, and the sign, shape, semistandard and content checks."""
+    mu, rho = tuple(mu), tuple(rho)
+    records = []
+    for a in matrices_with_margins(mu, rho):
+        p, q = pair = rsk(a)
+        e = sign_record(a, pair, matrix_sign(a))
+        e["ok"] = (
+            e["sign_A"] == e["shape_sign"] * e["sign_P"] * e["sign_Q"]
+            and p.shape == q.shape
+            and p.is_semistandard()
+            and q.is_semistandard()
+            and p.content(len(rho)) == rho
+            and q.content(len(mu)) == mu
+        )
+        records.append(e)
+    return records
+
+
+def semistandard_by_definition(rows) -> bool:
+    """Rows of partition shape, entries at least 1, weakly increasing along
+    rows and strictly increasing down columns, checked condition by
+    condition."""
+    rows = [tuple(r) for r in rows]
+    return (
+        is_partition(len(r) for r in rows)
+        and all(x >= 1 for r in rows for x in r)
+        and all(r[i] <= r[i + 1] for r in rows for i in range(len(r) - 1))
+        and all(
+            upper[j] < lower[j]
+            for upper, lower in zip(rows, rows[1:])
+            for j in range(len(lower))
+        )
+    )
+
+
+def knuth_neighbors(word):
+    """Words one elementary Knuth move away (either direction), written out
+    from the two moves (K') and (K'') of oddsym.rsk."""
+    word = tuple(word)
+    out = set()
+    for i in range(len(word) - 2):
+        a, b, c = word[i : i + 3]
+        # (K'): y z x <-> y x z
+        y, z, x = a, b, c
+        if x < y <= z:
+            out.add(word[:i] + (y, x, z) + word[i + 3 :])
+        y, x, z = a, b, c
+        if x < y <= z:
+            out.add(word[:i] + (y, z, x) + word[i + 3 :])
+        # (K''): x z y <-> z x y
+        x, z, y = a, b, c
+        if x <= y < z:
+            out.add(word[:i] + (z, x, y) + word[i + 3 :])
+        z, x, y = a, b, c
+        if x <= y < z:
+            out.add(word[:i] + (x, z, y) + word[i + 3 :])
+    out.discard(word)
+    return sorted(out)
+
+
+def two_line_array(matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Book-reading two-line array of an N-matrix; an entry k stands for k
+    coincident unit entries.  RSK inserts the bottom line and records the
+    top one."""
+    u, v = [], []
+    for i, row in enumerate(matrix):
+        for j, a in enumerate(row):
+            if a < 0:
+                raise ValueError("matrix entries must be nonnegative")
+            u.extend([i + 1] * a)
+            v.extend([j + 1] * a)
+    return tuple(u), tuple(v)

@@ -275,9 +275,8 @@ def test_criterion_5_odd_rsk_sign_theorem():
     t0 = time.perf_counter()
     total_matrices = 0
     for n in range(1, 7):
-        result = rsk_verify_degree(n)
-        assert result["ok"], n
-        for cls in result["classes"]:
+        for cls in rsk_verify_degree(n):
+            assert cls["ok"], (n, cls["mu"], cls["rho"])
             total_matrices += len(cls["matrices"])
             assert cls["aggregate_sign_count"] == cls["hh_entry"]
             assert cls["aggregate_sign_count"] == cls["kostka_identity"]

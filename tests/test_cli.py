@@ -217,8 +217,11 @@ class TestCommands:
         assert "PASS" in capsys.readouterr().out
 
     def test_rsk_verify_failure(self, monkeypatch, capsys):
-        flipped = rsk.matrix_sign
-        monkeypatch.setattr(rsk, "matrix_sign", lambda m: -flipped(m))
+        # each row the kernel fills gains one SW-NE pair, which flips sign(A)
+        # of every two-row matrix
+        fillings = rsk.row_fillings
+        monkeypatch.setattr(rsk, "row_fillings", lambda *args: [
+            (m, exp + 1) for m, exp in fillings(*args)])
         assert main(["rsk", "--verify", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "margins 1,1 x 1,1: 2 matrices, signed sum 0, FAIL"

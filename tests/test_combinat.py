@@ -22,7 +22,7 @@ from oddsym.combinat import (
     word_sign,
 )
 
-from oracles import cable_sign
+from oracles import cable_sign, semistandard_by_definition
 
 
 def partition_count(n, max_part=None):
@@ -174,6 +174,23 @@ class TestTableaux:
         t = Tableau([(1, 1, 3), (2,)])
         assert t.content() == (2, 1, 1)
         assert t.content(5) == (2, 1, 1, 0, 0)
+
+    def test_methods_match_their_definitions(self):
+        # every list of up to three rows of length 0..2 over the entries
+        # 0..3, valid or not
+        shapes = [s for k in range(4) for s in product(range(3), repeat=k)]
+        for shape in shapes:
+            for cells in product(range(4), repeat=sum(shape)):
+                it = iter(cells)
+                rows = [tuple(next(it) for _ in range(p)) for p in shape]
+                t = Tableau(rows)
+                assert t.shape == shape
+                assert t.is_semistandard() == semistandard_by_definition(rows), rows
+                word = t.row_word()
+                assert t.sign() == (-1) ** sum(
+                    1 for x, y in combinations(word, 2) if x > y)
+                if all(cells):
+                    assert t.content(4) == tuple(cells.count(x) for x in range(1, 5))
 
 
 class TestMarginMatrices:

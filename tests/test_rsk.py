@@ -10,13 +10,14 @@ from oddsym.bases import kostka, kostka_unsigned
 from oddsym.combinat import (
     Tableau,
     matrices_with_margins,
+    matrix_inv,
     matrix_sign,
     partitions_of,
+    row_fillings,
     shape_sign,
 )
 from oddsym.rsk import (
     insert_word,
-    knuth_neighbors,
     knuth_normalize,
     odd_plactic_reduce,
     odd_rsk_check,
@@ -24,8 +25,8 @@ from oddsym.rsk import (
     rsk,
     rsk_verify_degree,
     sign_theorem_check,
-    two_line_array,
 )
+from oracles import knuth_neighbors, odd_rsk_per_matrix, two_line_array
 
 
 def test_package_attribute_is_the_module():
@@ -90,6 +91,23 @@ class TestRsk:
     def test_negative_entry(self):
         with pytest.raises(ValueError):
             two_line_array([[1, -1]])
+
+    def test_rsk_inserts_the_two_line_array(self):
+        # letter by letter through row_insert, recording where P grew
+        for mu in partitions_of(4):
+            for rho in partitions_of(4):
+                for a in matrices_with_margins(mu, rho):
+                    p, q_rows = Tableau([]), []
+                    for uk, vk in zip(*two_line_array(a)):
+                        p, (r, _) = row_insert(p, vk)
+                        if r == len(q_rows):
+                            q_rows.append([])
+                        q_rows[r].append(uk)
+                    assert rsk(a) == (p, Tableau(q_rows)), a
+
+    def test_negative_matrix_entry(self):
+        with pytest.raises(ValueError):
+            rsk([[1, -1]])
 
     def test_single_cell(self):
         p, q = rsk([[3]])
@@ -213,7 +231,7 @@ class TestOddRskTheorem:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exhaustive_by_degree(self, n):
-        assert rsk_verify_degree(n)["ok"]
+        assert all(report["ok"] for report in rsk_verify_degree(n))
         assert sign_theorem_check(n) == []
 
     def test_kostka_identity_matches_kostka(self):
@@ -234,20 +252,63 @@ class TestOddRskTheorem:
         for a in matrices_with_margins(mu, rho):
             groups.setdefault((rsk(a).insertion.shape, matrix_sign(a)), []).append(a)
         first, second = next(g for g in groups.values() if len(g) > 1)[:2]
-        # this module's rsk stays the real one
-        monkeypatch.setattr(oddsym.rsk, "rsk",
-                            lambda a: rsk(first if a == second else a))
+        image, taken = rsk(first), rsk(second)
+        real = oddsym.rsk._insert_row
+
+        def colliding(p_rows, q_rows, i, row):
+            # the insertion that completes `second` leaves the image of `first`
+            real(p_rows, q_rows, i, row)
+            if (Tableau(p_rows), Tableau(q_rows)) == taken:
+                p_rows[:] = image.insertion.to_lists()
+                q_rows[:] = image.recording.to_lists()
+
+        monkeypatch.setattr(oddsym.rsk, "_insert_row", colliding)
         r = odd_rsk_check(mu, rho)
         assert all(e["ok"] for e in r["matrices"])
         assert r["aggregate_sign_count"] == r["hh_entry"] == r["kostka_identity"]
         assert not r["bijective"] and not r["ok"]
 
     def test_missing_matrix_is_not_bijective(self, monkeypatch):
-        monkeypatch.setattr(oddsym.rsk, "matrices_with_margins",
-                            lambda mu, rho: matrices_with_margins(mu, rho)[1:])
-        r = odd_rsk_check((2, 1, 1), (2, 1, 1))
+        # the pass skips the first filling of the first row, (0, 1, 1), which
+        # only the first matrix of the class starts with
+        mu = rho = (2, 1, 1)
+
+        def fewer(total, caps, limits):
+            fillings = row_fillings(total, caps, limits)
+            return fillings[1:] if caps == rho else fillings
+
+        monkeypatch.setattr(oddsym.rsk, "row_fillings", fewer)
+        r = odd_rsk_check(mu, rho)
+        assert [e["matrix"] for e in r["matrices"]] == [
+            list(map(list, a)) for a in matrices_with_margins(mu, rho)[1:]
+        ]
         assert all(e["ok"] for e in r["matrices"])
         assert not r["bijective"] and not r["ok"]
+
+    def test_pass_matches_per_matrix_oracle(self):
+        # the matrices in matrices_with_margins order, then record for record
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                for rho in partitions_of(n):
+                    got = odd_rsk_check(mu, rho)["matrices"]
+                    want = odd_rsk_per_matrix(mu, rho)
+                    assert [e["matrix"] for e in got] == [
+                        list(map(list, a)) for a in matrices_with_margins(mu, rho)
+                    ], (mu, rho)
+                    assert got == want, (mu, rho)
+
+    def test_row_exponents_sum_to_matrix_inv(self):
+        # filling row by row under the column margins left, the row_fillings
+        # exponents of a matrix's rows add up to its SW-NE count
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                for rho in partitions_of(n):
+                    for a in matrices_with_margins(mu, rho):
+                        left, total = rho, 0
+                        for i, row in enumerate(a):
+                            total += dict(row_fillings(mu[i], left, left))[row]
+                            left = tuple(c - v for c, v in zip(left, row))
+                        assert total == matrix_inv(a), a
 
     def test_report_schema(self):
         r = odd_rsk_check((2, 1), (2, 1))
