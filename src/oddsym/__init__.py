@@ -57,7 +57,7 @@ from .gramdet import (
     gram_matrix,
     radical_rank,
 )
-from .polyq import QPoly, qfactorial, qint
+from .polyq import QPoly
 from .rsk import knuth_normalize, odd_plactic_reduce, row_insert
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,7 +20,7 @@ from .combinat import (
     triangular_sum,
 )
 from .oddring import OddElt, linear_combination
-from .polyq import det_exact, unimodular_inverse
+from .polyq import unimodular_inverse
 
 
 def kostka(lam, mu) -> int:
@@ -51,18 +51,15 @@ def kostka_matrix(n: int):
 _WORDS = {"e": form.e_word, "h": form.h_word}
 
 
-def basis_matrix_entry(kind: str, lam, mu) -> int:
-    """(x_lam, y_mu) at q = -1 for kind "xy", one of "eh", "hh", "ee"."""
+def basis_matrix(kind: str, n: int):
+    """(partitions, rows) for the (e,h), (h,h) or (e,e) pairing table: row
+    lam, column mu holds (x_lam, y_mu) at q = -1 for kind "xy"."""
     if kind not in ("eh", "hh", "ee"):
         raise ValueError(f"unknown kind {kind!r}")
-    return form.pair_words_odd(_WORDS[kind[0]](lam), _WORDS[kind[1]](mu))
-
-
-def basis_matrix(kind: str, n: int):
-    """(partitions, rows) for the (e,h), (h,h) or (e,e) pairing table."""
+    x, y = _WORDS[kind[0]], _WORDS[kind[1]]
     parts = partitions_of(n)
     rows = tuple(
-        tuple(basis_matrix_entry(kind, lam, mu) for mu in parts) for lam in parts
+        tuple(form.pair_words_odd(x(lam), y(mu)) for mu in parts) for lam in parts
     )
     return parts, rows
 
@@ -183,31 +180,3 @@ def schur_alt_routes(lam) -> list:
     checks["twisted_f_route"] = lhs4 == rhs4
 
     return [{"lambda": lam, "route": name} for name, ok in checks.items() if not ok]
-
-
-def eh_matrix_det(n: int) -> int:
-    """Determinant of the (e,h) change-of-basis matrix with rows and columns
-    both in ascending lexicographic order."""
-    return det_exact([list(r) for r in basis_matrix("eh", n)[1]])
-
-
-def eh_det_self_transpose(n: int) -> int:
-    """Product over self-transpose diagrams of (-1)^(sw-ne pairs).
-
-    This is the determinant of the (e,h) matrix whose columns are indexed by
-    transposed partitions (the anti-diagonal entries become the diagonal);
-    relative to the plain lex-ordered determinant it differs by the sign of
-    the transpose involution, see transpose_involution_sign.
-    """
-    sign = 1
-    for lam in partitions_of(n):
-        if transpose(lam) == lam and sw_ne_pairs(lam) % 2:
-            sign = -sign
-    return sign
-
-
-def transpose_involution_sign(n: int) -> int:
-    """Sign of the permutation lam -> lam^T of the partitions of n."""
-    swaps = sum(1 for lam in partitions_of(n) if transpose(lam) > lam)
-    return -1 if swaps % 2 else 1
-

@@ -13,6 +13,7 @@ import json
 import pathlib
 import re
 import sys
+from functools import lru_cache
 from importlib import resources
 
 from . import bases, form, gramdet, hopf, oddring
@@ -456,7 +457,10 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of main reads the same one."""
     parser = argparse.ArgumentParser(
         prog="oddsym",
         description="Exact computations in the ring of odd symmetric functions.",

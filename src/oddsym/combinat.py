@@ -160,13 +160,14 @@ class Tableau:
     def shape(self) -> tuple[int, ...]:
         return tuple(map(len, self.rows))
 
-    def content(self, width: int | None = None) -> tuple[int, ...]:
-        """Multiplicity vector of the entries 1..width."""
-        if width is None:
-            width = max((x for r in self.rows for x in r), default=0)
+    def content(self, width: int) -> tuple[int, ...]:
+        """Multiplicity vector of the entries 1..width; raises ValueError on
+        any other entry."""
         counts = [0] * width
         for r in self.rows:
             for x in r:
+                if not 1 <= x <= width:
+                    raise ValueError(f"entry {x} outside 1..{width}")
                 counts[x - 1] += 1
         return tuple(counts)
 
@@ -297,17 +298,20 @@ def matrices_with_margins(row_sums, col_sums):
 
 
 def matrix_inv(matrix) -> int:
-    """Sum over SW-NE entry pairs of the product of the two entries."""
+    """Sum over SW-NE entry pairs of the product of the two entries.
+
+    One pass from the bottom row up: each entry is multiplied by the entries
+    strictly below it and strictly to its left, read off the column sums of
+    the rows below.
+    """
     total = 0
-    rows = len(matrix)
-    for k in range(rows):
-        for l, a in enumerate(matrix[k]):
-            if a == 0:
-                continue
-            above_right = sum(
-                matrix[i][j] for i in range(k) for j in range(l + 1, len(matrix[i]))
-            )
-            total += a * above_right
+    below = [0] * max(map(len, matrix), default=0)
+    for row in reversed(matrix):
+        left = 0
+        for j, a in enumerate(row):
+            total += a * left
+            left += below[j]
+            below[j] += a
     return total
 
 

@@ -248,11 +248,11 @@ def primitives(n: int) -> tuple[OddElt, ...]:
         for k in range(1, n)
         for mu in partitions_of(n - k)
     ]
-    gram = oddring.gram_h(n)
+    gram = oddring._gram_rows(n)
     # With no products (n = 1) every vector is primitive: a zero row keeps
     # the kernel the whole space.
     constraint = [
-        [sum(row[j] * gram[j][i] for j in range(len(parts))) for i in range(len(parts))]
+        [sum(c * gram[p][mu] for c, p in zip(row, parts)) for mu in parts]
         for row in span_rows
     ] or [[0] * len(parts)]
     return tuple(OddElt._trusted({parts[i]: v for i, v in enumerate(vec) if v})

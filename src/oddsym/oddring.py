@@ -199,21 +199,18 @@ def e_elt(parts) -> OddElt:
 # pairing and the Gram route
 
 
-def gram_h(n: int) -> list[list[int]]:
-    """Partition-basis Gram matrix (h_lam, h_mu) at q = -1, ascending lex."""
-    return gramdet.gram_matrix(n, q=-1, basis="partitions")[1]
+@lru_cache(maxsize=None)
+def _gram_rows(n: int) -> dict:
+    """The partition-basis Gram matrix at q = -1 keyed by partitions:
+    rows[lam][mu] = (h_lam, h_mu), both in ascending lex order."""
+    parts, rows = gramdet.gram_matrix(n, q=-1, basis="partitions")
+    return {lam: dict(zip(parts, row)) for lam, row in zip(parts, rows)}
 
 
 @lru_cache(maxsize=None)
 def gram_h_inverse(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in unimodular_inverse([list(r) for r in gram_h(n)]))
-
-
-@lru_cache(maxsize=None)
-def _gram_rows(n: int) -> dict:
-    """gram_h(n) keyed by partitions: rows[lam][mu] = (h_lam, h_mu)."""
-    parts = partitions_of(n)
-    return {lam: dict(zip(parts, row)) for lam, row in zip(parts, gram_h(n))}
+    rows = _gram_rows(n)
+    return tuple(map(tuple, unimodular_inverse([list(r.values()) for r in rows.values()])))
 
 
 def _pair_h_with(part: tuple[int, ...], y: OddElt) -> int:
@@ -335,10 +332,6 @@ def e_coordinates(x: OddElt) -> dict:
             if c:
                 out[lam] = c
     return out
-
-
-def from_e_coordinates(coords: dict) -> OddElt:
-    return linear_combination((c, e_elt(tuple(lam))) for lam, c in coords.items())
 
 
 # ---------------------------------------------------------------------------

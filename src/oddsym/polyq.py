@@ -65,14 +65,6 @@ class QPoly:
             acc = acc * q + c
         return acc
 
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
-
-    def is_self_reciprocal(self) -> bool:
-        """Palindromic up to an overall sign (q^deg p(1/q) = +-p(q))."""
-        rev = tuple(reversed(self.coeffs))
-        return self.coeffs == rev or self.coeffs == tuple(-c for c in rev)
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -191,21 +183,6 @@ def _coerce(x) -> QPoly:
 ZERO = QPoly()
 ONE = QPoly((1,))
 Q = QPoly((0, 1))
-
-
-def qint(n: int) -> QPoly:
-    """The q-integer [n] = 1 + q + ... + q^(n-1); [0] = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return QPoly((1,) * n)
-
-
-def qfactorial(n: int) -> QPoly:
-    """[n]! = [n][n-1]...[1]."""
-    acc = ONE
-    for k in range(2, n + 1):
-        acc = acc * qint(k)
-    return acc
 
 
 def divide_out(p: QPoly, f: QPoly) -> tuple[int, QPoly]:

@@ -14,7 +14,7 @@ from operator import sub
 
 from . import form
 from .bases import kostka_matrix, kostka_unsigned
-from .combinat import Tableau, partitions_of, row_fillings, shape_sign
+from .combinat import Tableau, inversions, partitions_of, row_fillings, shape_sign
 
 RskPair = namedtuple("RskPair", ["insertion", "recording"])
 
@@ -40,29 +40,26 @@ def row_insert(tab: Tableau, x: int) -> tuple[Tableau, tuple[int, int]]:
     return Tableau(rows), pos
 
 
-def insert_word(word) -> tuple[Tableau, int]:
-    """Insert the letters of a word successively into the empty tableau.
-
-    Returns the insertion tableau and the number of elementary Knuth moves
-    performed: a bump through row j of length L contributes L - 1 (a bump
-    leaves the lengths of the rows it passes through unchanged).
-    """
+def insert_word(word) -> Tableau:
+    """Insert the letters of a word successively into the empty tableau."""
     rows: list[list[int]] = []
-    moves = 0
     for x in word:
-        r, _ = _bump(rows, x)
-        moves += sum(len(rows[j]) - 1 for j in range(r))
-    return Tableau(rows), moves
+        _bump(rows, x)
+    return Tableau(rows)
 
 
 def knuth_normalize(word) -> tuple[Tableau, int]:
     """The unique tableau whose row word is Knuth equivalent to the word,
-    with the parity (0/1) of the number of elementary moves used."""
+    with the parity (0/1) of the number of elementary moves between them.
+
+    Each move transposes two distinct letters, so that parity is the
+    difference of the inversion parities of the word and the row word.
+    """
     word = tuple(word)
     if not word:
         raise ValueError("empty word")
-    tab, moves = insert_word(word)
-    return tab, moves % 2
+    tab = insert_word(word)
+    return tab, (inversions(word) + inversions(tab.row_word())) % 2
 
 
 def odd_plactic_reduce(word) -> tuple[int, tuple[int, ...]]:

@@ -14,7 +14,7 @@ from oddsym import bases, cli, form, gramdet, hopf, oddring
 from oddsym.rsk import rsk_verify_degree
 from oddsym.combinat import compositions_of, matrices_with_margins, partitions_of
 from oddsym.oddring import OddElt, h_elt
-from oddsym.polyq import ONE, Q, QPoly, qfactorial, qint
+from oddsym.polyq import ONE, Q, QPoly
 
 from oracles import pair_htilde_inclusion_exclusion
 
@@ -28,6 +28,11 @@ def M(exp, coeff=1):
     return QPoly.monomial(exp, coeff)
 
 
+def qint(n):
+    """The q-integer [n] = 1 + q + ... + q^(n-1)."""
+    return QPoly((1,) * n)
+
+
 # --------------------------------------------------------------------------
 # criterion 1: generic-q Gram tables, degrees 1..4, exact
 
@@ -39,7 +44,7 @@ GENERIC_TABLES = {
         ((2,), (2,)): ONE,
     },
     3: {
-        ((1, 1, 1), (1, 1, 1)): qfactorial(3),
+        ((1, 1, 1), (1, 1, 1)): qint(2) * qint(3),
         ((1, 1, 1), (1, 2)): qint(3),
         ((1, 1, 1), (2, 1)): qint(3),
         ((1, 1, 1), (3,)): ONE,
@@ -51,7 +56,7 @@ GENERIC_TABLES = {
         ((3,), (3,)): ONE,
     },
     4: {
-        ((1, 1, 1, 1), (1, 1, 1, 1)): qfactorial(4),
+        ((1, 1, 1, 1), (1, 1, 1, 1)): qint(2) * qint(3) * qint(4),
         ((1, 1, 1, 1), (1, 1, 2)): qint(4) * qint(3),
         ((1, 1, 1, 1), (1, 2, 1)): qint(4) * qint(3),
         ((1, 1, 1, 1), (2, 1, 1)): qint(4) * qint(3),

@@ -7,7 +7,14 @@ import pytest
 
 from oddsym import form, hopf, rsk
 from oddsym.combinat import matrices_with_margins
-from oddsym.cli import MAX_WORD_DEGREE, main, parse_colored, parse_parts, parse_q
+from oddsym.cli import (
+    MAX_WORD_DEGREE,
+    build_parser,
+    main,
+    parse_colored,
+    parse_parts,
+    parse_q,
+)
 
 
 def random_composition(rng, n):
@@ -403,6 +410,28 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ["pair", "--basis", "x", "--left", "2", "--right", "2"],
+        ["pair", "--left", "2,x", "--right", "1"],
+        ["rsk", "--verify", "2", "--format", "csv"],
+        ["gram", "--degree", "0", "--basis", "partitions"],
+    ])
+    def test_usage_error_leaves_the_next_call_unchanged(self, capsys, bad):
+        valid = ["pair", "--basis", "e", "--left", "2,1", "--right", "1,2",
+                 "--q", "-1", "--format", "json"]
+        build_parser.cache_clear()
+        assert main(valid) == 0
+        alone = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(valid) == 0
+        assert capsys.readouterr() == alone
+
     @pytest.mark.parametrize(
         "matrix", ["[[1.5,0]]", '[["a"]]', "[[1],[0,1]]", "[[true]]", "[[-1]]",
                    "5", "[]", "[[1,"])
@@ -556,6 +585,8 @@ class TestExitCodes:
              "--q", "generic"],
             ["expand", "--what", "m", "--index", "9"],
             ["rsk", "--matrix", "[[2,2,2],[2,2,2],[2,2,2]]"],
+            # weight 1000 and 1000 entries, both rsk --matrix bounds
+            ["rsk", "--matrix", json.dumps([[1] * 25] * 40)],
         ],
     )
     def test_at_bound_input_is_answered(self, capsys, argv):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -172,8 +173,14 @@ class TestTableaux:
 
     def test_content(self):
         t = Tableau([(1, 1, 3), (2,)])
-        assert t.content() == (2, 1, 1)
+        assert t.content(3) == (2, 1, 1)
         assert t.content(5) == (2, 1, 1, 0, 0)
+
+    @pytest.mark.parametrize("rows, width", [([(0, 1)], 2), ([(1, 3)], 2),
+                                             ([(1, 1), (-1,)], 3)])
+    def test_content_rejects_entries_outside_the_width(self, rows, width):
+        with pytest.raises(ValueError):
+            Tableau(rows).content(width)
 
     def test_methods_match_their_definitions(self):
         # every list of up to three rows of length 0..2 over the entries
@@ -191,6 +198,9 @@ class TestTableaux:
                     1 for x, y in combinations(word, 2) if x > y)
                 if all(cells):
                     assert t.content(4) == tuple(cells.count(x) for x in range(1, 5))
+                else:
+                    with pytest.raises(ValueError):
+                        t.content(4)
 
 
 class TestMarginMatrices:
@@ -212,6 +222,18 @@ class TestMarginMatrices:
         invs = sorted(matrix_inv(m) for m in matrices_with_margins((3, 2), (2, 2, 1)))
         assert invs == [0, 2, 2, 3, 6]
         assert matrix_sign(((1, 1, 1), (1, 1, 0))) == -1
+
+    def test_inv_equals_brute_force(self):
+        # every pair of cells, one strictly below and left of the other
+        rng = random.Random(31)
+        assert matrix_inv([]) == 0
+        for _ in range(400):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            a = [[rng.randint(0, 3) for _ in range(cols)] for _ in range(rows)]
+            cells = product(range(rows), range(cols))
+            want = sum(a[i][j] * a[k][l] for (i, j), (k, l) in combinations(cells, 2)
+                       if i < k and l < j)
+            assert matrix_inv(a) == want, a
 
     def test_cable_sign(self):
         assert cable_sign(((2, 1, 0), (0, 1, 1))) == -1

@@ -16,7 +16,7 @@ from oddsym.gramdet import (
     radical_rank,
     reversal_blocks,
 )
-from oddsym.polyq import QPoly, qint
+from oddsym.polyq import QPoly
 
 
 class TestGramMatrix:
@@ -32,7 +32,7 @@ class TestGramMatrix:
     def test_degree_four_entry(self):
         labels, rows = gram_matrix(4)
         i = labels.index((2, 2))
-        assert rows[i][i] == qint(2) + QPoly.monomial(4)
+        assert rows[i][i] == QPoly((1, 1, 0, 0, 1))
 
     def test_symmetric(self):
         for n in range(1, 8):
@@ -163,7 +163,8 @@ class TestFactors:
         assert [f["name"] for f in factors[:3]] == ["q", "q-1", "q+1"]
         for f in factors:
             if f["name"] != "q":
-                assert f["poly"].is_self_reciprocal(), f["name"]
+                c = f["poly"].coeffs
+                assert c[::-1] in (c, tuple(-x for x in c)), f["name"]
                 assert f["poly"].leading_coefficient() == 1
                 assert abs(f["poly"][0]) == 1
         degree18 = next(f for f in factors if f["name"] == "degree-18 palindromic")

@@ -18,8 +18,6 @@ from oddsym.polyq import (
     det_prime,
     divide_out,
     kernel_basis,
-    qfactorial,
-    qint,
     rank_exact,
     unimodular_inverse,
 )
@@ -68,19 +66,6 @@ def is_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
 
 
 class TestQPoly:
-    def test_qint(self):
-        assert qint(2) == QPoly((1, 1))
-        assert qint(1) == ONE
-        assert qint(0) == QPoly()
-        assert qint(5).degree() == 4
-        assert all(c == 1 for c in qint(7).coeffs)
-
-    def test_qfactorial(self):
-        assert qfactorial(3) == qint(2) * qint(3)
-        assert qfactorial(3) == QPoly((1, 2, 2, 1))
-        assert qfactorial(0) == ONE
-        assert qfactorial(4).evaluate(1) == 24
-
     def test_canonical_form(self):
         assert QPoly((1, 0, 0)).coeffs == (1,)
         assert QPoly((0, 0)).is_zero()
@@ -112,11 +97,10 @@ class TestQPoly:
         assert str(QPoly((1, -2))) == "1-2q"
         assert str(QPoly()) == "0"
 
-    def test_evaluate_and_palindromic(self):
+    def test_evaluate(self):
         p = QPoly((1, 2, 1))
         assert p.evaluate(-1) == 0
-        assert p.is_palindromic()
-        assert not QPoly((0, 1)).is_palindromic()
+        assert p.evaluate(2) == 9
 
 
 class TestDeterminants:

@@ -45,11 +45,11 @@ class TestRowInsertion:
         assert t.rows == ((1, 2, 3),) and pos == (0, 2)
 
     def test_word_build(self):
-        t, _ = insert_word((1, 1, 2, 3))
+        t = insert_word((1, 1, 2, 3))
         assert t.rows == ((1, 1, 2, 3),)
 
     def test_long_example(self):
-        t, _ = insert_word((5, 3, 4, 2, 2, 3, 3, 1, 1, 1, 2))
+        t = insert_word((5, 3, 4, 2, 2, 3, 3, 1, 1, 1, 2))
         assert t.rows == ((1, 1, 1, 2), (2, 2, 3, 3), (3, 4), (5,))
 
     def test_always_semistandard(self):
@@ -58,7 +58,7 @@ class TestRowInsertion:
         rng = random.Random(42)
         for _ in range(50):
             word = [rng.randint(1, 5) for _ in range(rng.randint(1, 10))]
-            t, _ = insert_word(word)
+            t = insert_word(word)
             assert t.is_semistandard()
 
 
@@ -77,7 +77,7 @@ def _longest_chain(word, related) -> int:
 def test_schensted_theorem(word):
     # first row = longest weakly increasing subsequence, number of rows =
     # longest strictly decreasing subsequence
-    shape = insert_word(word)[0].shape
+    shape = insert_word(word).shape
     assert (shape[0] if shape else 0) == _longest_chain(word, operator.le)
     assert len(shape) == _longest_chain(word, operator.gt)
 
