@@ -26,7 +26,7 @@ from .rsk import rsk_verify_degree, sign_record, sign_theorem_check
 # is at least 1, so parse_parts rejects a longer k^m run before building it.
 MAX_WORD_DEGREE = 16
 
-INTEGER = re.compile(r"[+-]?[0-9]+")
+DIGITS = re.compile(r"[0-9]+")
 
 VERIFY_MAX_DEGREE = {"hopf": 9, "schur": 8, "rsk": 7, "semiorth": 10,
                      "primitives": 10, "all": 7}
@@ -38,19 +38,23 @@ def _bound(what: str, value: int, lo: int, hi: int) -> None:
 
 
 def _int(token: str, expected: str, text: str | None = None) -> int:
-    """The integer of an ASCII token [+-]?[0-9]+, or a ValueError naming the
+    """The integer of an ASCII token [0-9]+, or a ValueError naming the
     expected form and echoing the input text (by default the token).  int()
-    would also take other Unicode digits, underscores and whitespace."""
-    if INTEGER.fullmatch(token) is None:
+    would also take a sign, other Unicode digits, underscores and
+    whitespace."""
+    if DIGITS.fullmatch(token) is None:
         raise ValueError(f"expected {expected}: {token if text is None else text!r}")
     return int(token)
 
 
 def parse_q(text: str):
-    """--q: "generic" or an integer of absolute value at most 2^64."""
+    """--q: "generic" or an integer of absolute value at most 2^64, the one
+    integer that takes a sign (one leading + or -)."""
     if text == "generic":
         return text
-    q = _int(text, "generic or an integer for q")
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    q = _int(digits, "generic or an integer for q", text)
+    q = -q if text[:1] == "-" else q
     _bound("--q", q, -(2**64), 2**64)
     return q
 
@@ -66,8 +70,10 @@ def _tokens(text: str, expected: str):
         token = token.strip()
         base, caret, count = token.partition("^")
         base = base.rstrip()
-        m = _int(count.lstrip(), expected, text) if caret else 1
-        if not 1 <= m <= MAX_WORD_DEGREE:
+        # a negative count is out of range rather than malformed
+        count = count.lstrip()
+        m = _int(count.removeprefix("-"), expected, text) if caret else 1
+        if count.startswith("-") or not 1 <= m <= MAX_WORD_DEGREE:
             raise ValueError(
                 f"repeat count in {token!r} must be in 1..{MAX_WORD_DEGREE}")
         yield base, m

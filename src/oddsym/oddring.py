@@ -99,14 +99,7 @@ class OddElt:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            other = OddElt({(): other})
         return isinstance(other, OddElt) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         return linear_combination(((1, self), (1, other)))
@@ -114,20 +107,10 @@ class OddElt:
     def __sub__(self, other):
         return linear_combination(((1, self), (-1, other)))
 
-    def __neg__(self):
-        return OddElt._trusted({p: -c for p, c in self.terms.items()})
-
     def scale(self, k: int) -> "OddElt":
         return OddElt._trusted({p: k * c for p, c in self.terms.items()})
 
-    def __rmul__(self, k):
-        if isinstance(k, int):
-            return self.scale(k)
-        return NotImplemented
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         out: dict[tuple[int, ...], int] = {}
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():

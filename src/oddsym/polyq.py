@@ -1,14 +1,14 @@
 """Exact integer polynomials in q and exact linear algebra.
 
 QPoly is a dense, canonical (no trailing zeros) coefficient list over
-arbitrary-precision ints.  One fraction-free (Bareiss) elimination over nested
-lists whose entries support +, -, * and exact //, so over both ZZ and ZZ[q],
-gives det_exact and rank_exact forward only, and unimodular_inverse and
-kernel_basis (primitive integer vectors) from its reduced form.  The only
-other elimination is mod p, inside det_by_interpolation: the determinant of a
-QPoly matrix with no polynomial products, from its values at 0, 1, ..., D
-modulo the first prime of DET_PRIMES above twice a proven coefficient bound,
-interpolated and lifted to the balanced residues.
+arbitrary-precision ints; its arithmetic takes QPoly operands only.  One
+fraction-free (Bareiss) elimination over integer matrices gives det_exact and
+rank_exact forward only, and unimodular_inverse and kernel_basis (primitive
+integer vectors) from its reduced form.  The only other elimination is mod p,
+inside det_by_interpolation: the determinant of a QPoly matrix with no
+polynomial products, from its values at 0, 1, ..., D modulo the first prime
+of DET_PRIMES above twice a proven coefficient bound, interpolated and lifted
+to the balanced residues.
 """
 
 from math import gcd, isqrt
@@ -26,14 +26,6 @@ class QPoly:
         self.coeffs = tuple(c)
 
     # -- constructors
-
-    @classmethod
-    def const(cls, n: int) -> "QPoly":
-        return cls((n,))
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "QPoly":
-        return cls((0,) * exp + (coeff,))
 
     @classmethod
     def from_exponent_counts(cls, counts: dict) -> "QPoly":
@@ -56,9 +48,6 @@ class QPoly:
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def __getitem__(self, exp: int) -> int:
-        return self.coeffs[exp] if 0 <= exp < len(self.coeffs) else 0
-
     def evaluate(self, q: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -68,7 +57,6 @@ class QPoly:
     # -- arithmetic
 
     def __add__(self, other):
-        other = _coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return QPoly(
             [
@@ -78,19 +66,13 @@ class QPoly:
             ]
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return self + (-other)
 
     def __mul__(self, other):
-        other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return QPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -101,8 +83,6 @@ class QPoly:
                 out[i + j] += a * b
         return QPoly(out)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         acc = QPoly((1,))
         for _ in range(n):
@@ -112,7 +92,6 @@ class QPoly:
     def divmod(self, other):
         """Long division; requires the leading coefficient of the divisor to
         divide exactly at each step (always true for monic divisors)."""
-        other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -131,17 +110,9 @@ class QPoly:
                 rem[shift + i] -= c * b
         return QPoly(quot), QPoly(rem)
 
-    def __floordiv__(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("non-exact polynomial division")
-        return q
-
     # -- comparison / hashing / display
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = QPoly.const(other)
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -172,19 +143,6 @@ class QPoly:
         return f"QPoly({list(self.coeffs)})"
 
 
-def _coerce(x) -> QPoly:
-    if isinstance(x, QPoly):
-        return x
-    if isinstance(x, int):
-        return QPoly.const(x)
-    raise TypeError(f"cannot coerce {type(x)!r} to QPoly")
-
-
-ZERO = QPoly()
-ONE = QPoly((1,))
-Q = QPoly((0, 1))
-
-
 def divide_out(p: QPoly, f: QPoly) -> tuple[int, QPoly]:
     """Largest k with f^k | p, together with p / f^k.
 
@@ -206,27 +164,23 @@ def divide_out(p: QPoly, f: QPoly) -> tuple[int, QPoly]:
 
 
 # ---------------------------------------------------------------------------
-# exact matrix helpers (entries: int or QPoly)
+# exact integer matrix helpers
 
 
-def det_exact(matrix):
-    """Exact determinant: +-d from the forward fraction-free elimination, or
-    a zero of the entry type when a column has no pivot.
-
-    Works over any integral domain whose elements support +, -, * and exact
-    floor division (ints and QPoly both qualify); no rounding anywhere.
-    """
+def det_exact(matrix) -> int:
+    """Exact determinant of an integer matrix: +-d from the forward
+    fraction-free elimination, or 0 when a column has no pivot."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     _, pivots, sign, d = _fraction_free(matrix)
     if len(pivots) < n:
-        return matrix[0][0] * 0
+        return 0
     return d if sign == 1 else -d
 
 
 def _fraction_free(matrix, reduced=False):
-    """Fraction-free (Bareiss) elimination over an integral domain:
+    """Fraction-free (Bareiss) elimination of an integer matrix:
     (m, pivots, sign, d).
 
     At pivot p each row to clear becomes (p * row - f * pivot row) // prev,
@@ -253,7 +207,6 @@ def _fraction_free(matrix, reduced=False):
             sign = -sign
         prow = m[r]
         p = prow[col]
-        zero = p * 0
         for i in range(0 if reduced else r + 1, nrows):
             if i == r:
                 continue
@@ -262,7 +215,7 @@ def _fraction_free(matrix, reduced=False):
             row = m[i]
             f = row[col]
             row[lo:] = [(p * a - f * b) // prev for a, b in zip(row[lo:], prow[lo:])]
-            row[col] = zero
+            row[col] = 0
         prev = p
         pivots.append(col)
     return m, pivots, sign, prev
@@ -323,14 +276,13 @@ def det_by_interpolation(matrix) -> QPoly:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    rows = [[_coerce(e) for e in row] for row in matrix]
-    degree, bound = det_bounds(rows)
+    degree, bound = det_bounds(matrix)
     if bound == 0:
         return QPoly()
     p = det_prime(degree, bound)
     # Each distinct entry is evaluated once per point.
     index = {}
-    layout = [[index.setdefault(e, len(index)) for e in row] for row in rows]
+    layout = [[index.setdefault(e, len(index)) for e in row] for row in matrix]
     entries = list(index)
     values = []
     for x in range(degree + 1):

@@ -16,8 +16,14 @@ from oddsym.combinat import (
     triangular,
 )
 from oddsym.form import _pair_h, htilde_expansion
-from oddsym.polyq import QPoly, unimodular_inverse
+from oddsym.polyq import QPoly, det_exact, unimodular_inverse
 from oddsym.rsk import rsk, sign_record
+
+
+def det_at_points(matrix, points) -> list[int]:
+    """The determinant of a QPoly matrix at each integer point: the integer
+    Bareiss determinant of the evaluated matrix, with no interpolation."""
+    return [det_exact([[e.evaluate(x) for e in row] for row in matrix]) for x in points]
 
 
 def cable_sign(matrix) -> int:

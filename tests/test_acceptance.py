@@ -6,15 +6,14 @@ computed by the code under test.
 """
 
 import time
-from itertools import product
 
 import pytest
 
 from oddsym import bases, cli, form, gramdet, hopf, oddring
 from oddsym.rsk import rsk_verify_degree
-from oddsym.combinat import compositions_of, matrices_with_margins, partitions_of
+from oddsym.combinat import compositions_of, partitions_of
 from oddsym.oddring import OddElt, h_elt
-from oddsym.polyq import ONE, Q, QPoly
+from oddsym.polyq import QPoly
 
 from oracles import pair_htilde_inclusion_exclusion
 
@@ -24,8 +23,13 @@ def report(number, elapsed, limit, detail=""):
     assert elapsed < limit
 
 
+ONE = QPoly((1,))
+Q = QPoly((0, 1))
+
+
 def M(exp, coeff=1):
-    return QPoly.monomial(exp, coeff)
+    """The monomial coeff * q^exp."""
+    return QPoly((0,) * exp + (coeff,))
 
 
 def qint(n):
@@ -420,7 +424,7 @@ def test_criterion_10_primitives():
 
 def test_criterion_11_htilde_routes():
     t0 = time.perf_counter()
-    assert form.pair_htilde((3, 1), (2, 2)) == QPoly.monomial(2)
+    assert form.pair_htilde((3, 1), (2, 2)) == M(2)
     pairs = 0
     for n in range(1, 8):
         for b in compositions_of(n):

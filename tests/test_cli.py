@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oddsym import form, hopf, rsk
+from oddsym import form, gramdet, hopf, rsk
 from oddsym.combinat import matrices_with_margins
 from oddsym.cli import (
     MAX_WORD_DEGREE,
@@ -34,7 +34,9 @@ class TestParsing:
         assert parse_parts(f"1^{MAX_WORD_DEGREE}") == (1,) * MAX_WORD_DEGREE
 
     def test_ascii_signs_and_spaces_around_commas(self):
-        assert parse_parts("+3") == (3,)
+        # only --q takes a sign
+        with pytest.raises(ValueError):
+            parse_parts("+3")
         assert parse_parts(" 2 , 2 ") == parse_parts("2,2")
         assert parse_parts("2 ^ 2") == (2, 2)
         assert parse_q("-1") == -1 and parse_q("+3") == 3
@@ -211,6 +213,22 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["entries"][0][0] == [1, 2, 2, 1]  # [3]! constant-first
 
+    def test_kostka_json(self, capsys):
+        assert main(["kostka", "--degree", "3", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rows"] == data["columns"] == [[1, 1, 1], [2, 1], [3]]
+        assert data["entries"] == [[1, 0, 0], [0, 1, 0], [1, 1, 1]]
+
+    def test_gram_json_at_an_integer_q(self, capsys):
+        # integer entries, against the colored q = -1 rule
+        assert main(["gram", "--degree", "3", "--q", "-1", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        labels = [tuple(r) for r in data["rows"]]
+        assert labels == gramdet.composition_labels(3)
+        assert data["entries"] == [
+            [form.pair_words_odd(form.h_word(b), form.h_word(a)) for a in labels]
+            for b in labels]
+
     def test_rsk_matrix(self, capsys):
         assert main(["rsk", "--matrix", "[[1,0],[0,1],[1,0]]",
                      "--format", "json"]) == 0
@@ -222,6 +240,13 @@ class TestCommands:
     def test_rsk_verify(self, capsys):
         assert main(["rsk", "--verify", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_rsk_verify_json(self, capsys):
+        # the class-by-class chunks form one list of every class's records
+        assert main(["rsk", "--verify", "3", "--format", "json"]) == 0
+        records = [r for cls in rsk.rsk_verify_degree(3) for r in cls["matrices"]]
+        assert len(records) > 1
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(records))
 
     def test_rsk_verify_failure(self, monkeypatch, capsys):
         # each row the kernel fills gains one SW-NE pair, which flips sign(A)
@@ -489,6 +514,25 @@ class TestExitCodes:
         ],
     )
     def test_parse_error_names_the_expected_form(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pair", "--left", "+3", "--right", "3"],
+         "expected comma-separated positive integers, k^m for m copies of k: '+3'"),
+        (["pair", "--left", "2^+2", "--right", "4"],
+         "expected comma-separated positive integers, k^m for m copies of k: '2^+2'"),
+        (["pair", "--basis", "mixed", "--left", "e+2", "--right", "h2"],
+         "expected comma-separated letters e<n>, h<n> or <n> (an h): 'e+2'"),
+        (["kostka", "--degree", "+3"], "expected an integer for --degree: '+3'"),
+        (["det", "--degree", "+3"], "expected an integer for --degree: '+3'"),
+        (["verify", "--suite", "hopf", "--max-degree", "+2"],
+         "expected an integer for --max-degree: '+2'"),
+        (["rsk", "--verify", "+3"], "expected an integer for --verify: '+3'"),
+    ])
+    def test_only_q_takes_a_sign(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

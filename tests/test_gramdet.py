@@ -18,6 +18,8 @@ from oddsym.gramdet import (
 )
 from oddsym.polyq import QPoly
 
+from oracles import det_at_points
+
 
 class TestGramMatrix:
     def test_degree_two_generic(self):
@@ -99,22 +101,28 @@ class TestDeterminant:
 
     def test_matches_bareiss_on_lex_order(self):
         # the appendix layout permutes rows and columns together, so the
-        # lexicographically ordered matrix has the same determinant
+        # lexicographically ordered matrix has the same determinant, up to
+        # the sign that gram_det normalizes; the oracle is integer Bareiss at
+        # q = 0..D+1, D the degree formula
         from oddsym.combinat import compositions_of
         from oddsym.form import pair_h_generic
-        from oddsym.polyq import det_exact
 
-        for n in range(1, 6):
+        for n in range(2, 6):
             comps = compositions_of(n)
-            det = det_exact([[pair_h_generic(b, a) for a in comps] for b in comps])
-            assert gram_det(n) == (det if det.leading_coefficient() > 0 else -det), n
+            points = range(det_degree_formula(n) + 2)
+            want = det_at_points([[pair_h_generic(b, a) for a in comps] for b in comps],
+                                 points)
+            got = [gram_det(n).evaluate(x) for x in points]
+            assert want in (got, [-v for v in got]), n
+            assert gram_det(n).leading_coefficient() > 0, n
+        assert gram_det(1) == QPoly((1,))  # the 1 x 1 matrix (1)
 
     def test_bound(self):
         with pytest.raises(ValueError):
             gram_det(8)
 
     def test_q_two_cross_check_rejects_a_wrong_determinant(self, monkeypatch):
-        wrong = gram_det(3) + QPoly.monomial(2)
+        wrong = gram_det(3) + QPoly((0, 0, 1))
         monkeypatch.setattr(gramdet, "det_by_interpolation", lambda rows: wrong)
         with pytest.raises(ArithmeticError):
             gram_det.__wrapped__(3)
@@ -137,15 +145,17 @@ class TestReversalBlocks:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_blocks_multiply_to_the_full_determinant(self, n):
-        # Bareiss over Z[q] on every matrix: no interpolation involved
-        from oddsym.polyq import det_exact
-
+        # integer Bareiss at q = 0..D+1 on every matrix, D the degree
+        # formula: no interpolation involved
         plus, minus = reversal_blocks(n)
         _, rows = gram_matrix(n)
-        full = det_exact(rows)
-        product = det_exact(plus) * det_exact(minus)
+        points = range(det_degree_formula(n) + 2)
+        full = det_at_points(rows, points)
+        product = [a * b for a, b in zip(det_at_points(plus, points),
+                                         det_at_points(minus, points))]
         assert product == full
-        assert (product if product.leading_coefficient() > 0 else -product) == gram_det(n)
+        got = [gram_det(n).evaluate(x) for x in points]
+        assert full in (got, [-v for v in got])
 
     def test_block_sizes(self):
         # 2^(n-1) compositions, 2^floor(n/2) of them palindromes
@@ -166,7 +176,7 @@ class TestFactors:
                 c = f["poly"].coeffs
                 assert c[::-1] in (c, tuple(-x for x in c)), f["name"]
                 assert f["poly"].leading_coefficient() == 1
-                assert abs(f["poly"][0]) == 1
+                assert abs(f["poly"].coeffs[0]) == 1
         degree18 = next(f for f in factors if f["name"] == "degree-18 palindromic")
         assert degree18["poly"].degree() == 18
 
@@ -222,7 +232,7 @@ class TestFactors:
         assert not report["ok"]
         q_row = report["items"][0]
         assert (q_row["listed"], q_row["multiplicity"], q_row["ok"]) == (5 - deficit, 5, False)
-        assert report["residual"] == str(QPoly.monomial(deficit))
+        assert report["residual"] == str(QPoly((0,) * deficit + (1,)))
 
     def test_listed_factors_pairwise_coprime(self):
         # factor_multiplicity_check divides each factor out of the running

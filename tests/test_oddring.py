@@ -139,7 +139,7 @@ class TestConstructor:
         # Results skip the partition check of OddElt(...); rebuilding each one
         # through it shows that no key it would reject gets in.
         results = [
-            x * y, x + y, x - y, -x, x.scale(k),
+            x * y, x + y, x - y, x.scale(k),
             linear_combination(((k, x), (1, y))),
             h_elt(word), normalize({word: k, lam: 1}), e_elt(word),
             antipode(x), sign_twist(x), monomial(lam), schur(lam),
@@ -225,9 +225,17 @@ class TestRingStructure:
 
     def test_scalar_operations(self):
         x = h_elt((2, 1))
-        assert 3 * x - x == x.scale(2)
-        assert -x + x == OddElt.zero()
+        assert x.scale(3) - x == x.scale(2)
+        assert x.scale(-1) + x == OddElt.zero()
         assert bool(OddElt.zero()) is False
+
+    def test_operands_are_elements_only(self):
+        # integers act through scale; an element never equals an integer
+        x = h_elt((2, 1))
+        assert OddElt.zero() != 0 and OddElt.one() != 1
+        for op in (lambda: 2 * x, lambda: -x, lambda: hash(x)):
+            with pytest.raises(TypeError):
+                op()
 
 
 class TestPairing:

@@ -7,11 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oddsym.polyq import (
-    ONE,
-    Q,
     DET_PRIMES,
     QPoly,
-    ZERO,
     det_bounds,
     det_by_interpolation,
     det_exact,
@@ -22,8 +19,11 @@ from oddsym.polyq import (
     unimodular_inverse,
 )
 
-from oracles import rref_over_q
+from oracles import det_at_points, rref_over_q
 from test_oddring import PROPERTY
+
+ONE = QPoly((1,))
+Q = QPoly((0, 1))
 
 
 def rand_poly(rng, max_deg=4, span=5):
@@ -83,13 +83,15 @@ class TestQPoly:
 
     def test_big_coefficients(self):
         big = QPoly((10**30, -(10**25)))
-        assert (big * big)[0] == 10**60
+        assert (big * big).coeffs[0] == 10**60
 
     def test_exact_division(self):
-        p = (Q + 1) ** 3 * (Q - 2)
-        assert p // (Q + 1) == (Q + 1) ** 2 * (Q - 2)
+        two = QPoly((2,))
+        p = (Q + ONE) ** 3 * (Q - two)
+        assert p.divmod(Q + ONE) == ((Q + ONE) ** 2 * (Q - two), QPoly())
+        assert (Q + ONE).divmod(Q) == (ONE, ONE)
         with pytest.raises(ValueError):
-            _ = (Q + 1) // Q
+            Q.divmod(two * Q)
 
     def test_str(self):
         assert str(QPoly((1, 0, 2, 1))) == "1+2q^2+q^3"
@@ -102,16 +104,24 @@ class TestQPoly:
         assert p.evaluate(-1) == 0
         assert p.evaluate(2) == 9
 
+    def test_operands_are_polynomials_only(self):
+        # an integer operand is written as a constant QPoly
+        assert ONE != 1 and QPoly() != 0
+        for op in (lambda: 1 + ONE, lambda: 1 - ONE, lambda: 2 * ONE):
+            with pytest.raises(TypeError):
+                op()
+
 
 class TestDeterminants:
     def test_two_by_two_polynomial(self):
         m = [[ONE + Q, ONE], [ONE, ONE]]
-        assert det_exact(m) == Q
+        assert det_by_interpolation(m) == det_cofactor(m) == Q
 
     def test_identity(self):
         for n in range(1, 6):
-            m = [[ONE if i == j else QPoly() for j in range(n)] for i in range(n)]
-            assert det_exact(m) == ONE
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert det_exact(eye) == 1
+            assert det_by_interpolation([[QPoly((x,)) for x in row] for row in eye]) == ONE
 
     def test_against_cofactor_random_int(self):
         rng = random.Random(7)
@@ -121,11 +131,14 @@ class TestDeterminants:
             assert det_exact([row[:] for row in m]) == det_cofactor(m)
 
     def test_against_cofactor_random_poly(self):
+        # integer Bareiss at q = -3..3 against the cofactor expansion in Z[q]
         rng = random.Random(11)
+        points = range(-3, 4)
         for _ in range(25):
             n = rng.randint(1, 3)
             m = [[rand_poly(rng, 2, 3) for _ in range(n)] for _ in range(n)]
-            assert det_exact([row[:] for row in m]) == det_cofactor(m)
+            det = det_cofactor(m)
+            assert det_at_points(m, points) == [det.evaluate(x) for x in points]
 
     def test_composition_gram_degree_3(self):
         # degree-3 composition Gram determinant has q-degree 2^(3-2)*4 - 1 = 7
@@ -134,7 +147,9 @@ class TestDeterminants:
 
         comps = compositions_of(3)
         m = [[pair_h_generic(b, a) for a in comps] for b in comps]
-        assert det_exact(m).degree() == 7
+        det = det_cofactor(m)
+        assert det.degree() == 7
+        assert det_by_interpolation(m) == det
 
     def test_singular(self):
         assert det_exact([[1, 2], [2, 4]]) == 0
@@ -145,28 +160,29 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_gram_matrices_match_bareiss(self, n):
-        from oddsym.gramdet import gram_matrix
+        # integer Bareiss at q = 0..D+1, D the degree formula
+        from oddsym.gramdet import det_degree_formula, gram_matrix
 
         _, rows = gram_matrix(n)
-        assert det_by_interpolation(rows).coeffs == det_exact(rows).coeffs
+        points = range(det_degree_formula(n) + 2)
+        det = det_by_interpolation(rows)
+        assert det_at_points(rows, points) == [det.evaluate(x) for x in points]
 
     def test_random_matrices_match_oracles(self):
         rng = random.Random(31)
         for _ in range(80):
             n = rng.randint(1, 4)
             m = [[rand_poly(rng, 3, 6) for _ in range(n)] for _ in range(n)]
-            got = det_by_interpolation(m)
-            assert got == det_exact(m)
-            assert got == det_cofactor(m)
+            assert det_by_interpolation(m) == det_cofactor(m)
 
     def test_singular_and_rank_deficient(self):
         p = QPoly((1, -2, 3))
-        assert det_by_interpolation([[p, p * Q], [Q, Q * Q]]) == ZERO
-        assert det_by_interpolation([[p, ONE], [ZERO, ZERO]]) == ZERO
+        assert det_by_interpolation([[p, p * Q], [Q, Q * Q]]) == QPoly()
+        assert det_by_interpolation([[p, ONE], [QPoly(), QPoly()]]) == QPoly()
 
     def test_edge_shapes(self):
         assert det_by_interpolation([]) == ONE
-        assert det_by_interpolation([[3]]) == QPoly((3,))
+        assert det_by_interpolation([[QPoly((3,))]]) == QPoly((3,))
         with pytest.raises(ValueError):
             det_by_interpolation([[ONE, ONE]])
 
@@ -174,7 +190,7 @@ class TestInterpolation:
         # det = -(B) exactly at the coefficient bound: the balanced lift
         # must return the negative value, not p - B
         big = 10**12
-        m = [[ZERO, QPoly((big,))], [QPoly((big,)), ZERO]]
+        m = [[QPoly(), QPoly((big,))], [QPoly((big,)), QPoly()]]
         assert det_bounds(m) == (0, big * big)
         assert det_by_interpolation(m) == QPoly((-(big * big),))
 
@@ -251,8 +267,8 @@ class TestDivideOut:
 
         det = gram_det(3)
         assert divide_out(det, Q)[0] == 5
-        assert divide_out(det, Q - 1)[0] == 1
-        assert divide_out(det, Q + 1)[0] == 1
+        assert divide_out(det, Q - ONE)[0] == 1
+        assert divide_out(det, Q + ONE)[0] == 1
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ValueError):
