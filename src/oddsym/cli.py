@@ -216,10 +216,9 @@ def cmd_pair(args) -> int:
         _bound("word degree at q = -1", degree, 0, MAX_WORD_DEGREE)
         value = payload = form.pair_words_odd(left, right)
     else:
-        # the generic route expands each e_n into its 2^(n-1) h-words
+        # e-letters of one side are block rows, and only the other side is
+        # expanded into h-words: e10 | e10 takes about 1 s
         _bound("word degree", degree, 0, 10)
-        _bound("log2 of the e-letter expansion",
-               sum(n - 1 for n, c in left + right if c == form.E), 0, 10)
         value = form.pair_words_generic(left, right)
         if q == "generic":
             payload = list(value.coeffs)
@@ -267,7 +266,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_kostka(args) -> int:
-    n = _int(args.degree, "an integer for --degree")
+    n = _int(args.degree, "a non-negative integer for --degree")
     _bound("degree", n, 1, 8)
     parts, rows = bases.kostka_matrix(n)
     emit_table(args, parts, parts, rows,
@@ -276,7 +275,7 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    n = _int(args.degree, "an integer for --degree")
+    n = _int(args.degree, "a non-negative integer for --degree")
     _bound("degree", n, 1, 8)
     labels, rows = gramdet.gram_matrix(n, parse_q(args.q), args.basis)
     title = "" if args.format == "json" else (
@@ -289,7 +288,7 @@ def cmd_rsk(args) -> int:
     if (args.matrix is None) == (args.verify is None):
         raise ValueError("pass exactly one of --matrix or --verify")
     if args.verify is not None:
-        n = _int(args.verify, "an integer for --verify")
+        n = _int(args.verify, "a non-negative integer for --verify")
         _bound("verify degree", n, 1, 7)
         # each class is written as it arrives; the JSON chunks form one flat list
         first_bad = None
@@ -333,7 +332,7 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_det(args) -> int:
-    n = _int(args.degree, "an integer for --degree")
+    n = _int(args.degree, "a non-negative integer for --degree")
     _bound("degree", n, 2, gramdet.GENERIC_DET_BOUND)
     report = gramdet.det_degree_check(n)
     payload = {"degree_check": report}
@@ -399,7 +398,7 @@ def run_suite(suite: str, max_degree: int):
 
 
 def cmd_verify(args) -> int:
-    max_degree = _int(args.max_degree, "an integer for --max-degree")
+    max_degree = _int(args.max_degree, "a non-negative integer for --max-degree")
     _bound(f"max degree of suite {args.suite}", max_degree, 1,
            VERIFY_MAX_DEGREE[args.suite])
     failures = []

@@ -15,7 +15,7 @@ from oddsym.combinat import (
     partitions_of,
     triangular,
 )
-from oddsym.form import _pair_h, htilde_expansion
+from oddsym.form import _pair_h, expand_colored_word, htilde_expansion
 from oddsym.polyq import QPoly, det_exact, unimodular_inverse
 from oddsym.rsk import rsk, sign_record
 
@@ -52,6 +52,18 @@ def pair_htilde_inclusion_exclusion(beta, alpha) -> QPoly:
         for a, ca in htilde_expansion(alpha).items():
             for e, c in _pair_h(b, a):
                 counts[e] = counts.get(e, 0) + cb * ca * c
+    return QPoly.from_exponent_counts(counts)
+
+
+def pair_words_by_expansion(y, x) -> QPoly:
+    """Generic-q pairing of colored words with every e-letter of both sides
+    expanded into signed h-words, pairing each h-word pair."""
+    right = expand_colored_word(tuple(x))
+    counts: dict[int, int] = {}
+    for wy, cy in expand_colored_word(tuple(y)).items():
+        for wx, cx in right.items():
+            for e, c in _pair_h(wy, wx):
+                counts[e] = counts.get(e, 0) + cy * cx * c
     return QPoly.from_exponent_counts(counts)
 
 

@@ -506,11 +506,15 @@ class TestExitCodes:
              "expected generic or an integer for q: ' -1'"),
             # int() would read these four as 8, 2, 2 and 10
             (["kostka", "--degree", "\uff18"],
-             "expected an integer for --degree: '\uff18'"),
-            (["gram", "--degree", " 2"], "expected an integer for --degree: ' 2'"),
+             "expected a non-negative integer for --degree: '\uff18'"),
+            (["gram", "--degree", " 2"],
+             "expected a non-negative integer for --degree: ' 2'"),
             (["verify", "--suite", "hopf", "--max-degree", "\uff12"],
-             "expected an integer for --max-degree: '\uff12'"),
-            (["rsk", "--verify", "1_0"], "expected an integer for --verify: '1_0'"),
+             "expected a non-negative integer for --max-degree: '\uff12'"),
+            (["rsk", "--verify", "1_0"],
+             "expected a non-negative integer for --verify: '1_0'"),
+            (["kostka", "--degree", "-3"],
+             "expected a non-negative integer for --degree: '-3'"),
         ],
     )
     def test_parse_error_names_the_expected_form(self, capsys, argv, message):
@@ -526,11 +530,14 @@ class TestExitCodes:
          "expected comma-separated positive integers, k^m for m copies of k: '2^+2'"),
         (["pair", "--basis", "mixed", "--left", "e+2", "--right", "h2"],
          "expected comma-separated letters e<n>, h<n> or <n> (an h): 'e+2'"),
-        (["kostka", "--degree", "+3"], "expected an integer for --degree: '+3'"),
-        (["det", "--degree", "+3"], "expected an integer for --degree: '+3'"),
+        (["kostka", "--degree", "+3"],
+         "expected a non-negative integer for --degree: '+3'"),
+        (["det", "--degree", "+3"],
+         "expected a non-negative integer for --degree: '+3'"),
         (["verify", "--suite", "hopf", "--max-degree", "+2"],
-         "expected an integer for --max-degree: '+2'"),
-        (["rsk", "--verify", "+3"], "expected an integer for --verify: '+3'"),
+         "expected a non-negative integer for --max-degree: '+2'"),
+        (["rsk", "--verify", "+3"],
+         "expected a non-negative integer for --verify: '+3'"),
     ])
     def test_only_q_takes_a_sign(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -591,8 +598,8 @@ class TestExitCodes:
              "word degree at q = -1 must be in 0..16"),
             (["pair", "--left", "11", "--right", "1^11", "--q", "2"],
              "word degree must be in 0..10"),
-            (["pair", "--basis", "e", "--left", "5,5", "--right", "10"],
-             "log2 of the e-letter expansion must be in 0..10"),
+            (["pair", "--basis", "e", "--left", "11", "--right", "1^11"],
+             "word degree must be in 0..10"),
             (["expand", "--what", "m", "--index", "10"],
              "index degree must be in 0..9"),
             (["rsk", "--matrix", "[[1001]]"], "matrix weight must be in 0..1000"),
@@ -631,6 +638,7 @@ class TestExitCodes:
             ["rsk", "--matrix", "[[2,2,2],[2,2,2],[2,2,2]]"],
             # weight 1000 and 1000 entries, both rsk --matrix bounds
             ["rsk", "--matrix", json.dumps([[1] * 25] * 40)],
+            ["pair", "--basis", "e", "--left", "5,5", "--right", "10"],
         ],
     )
     def test_at_bound_input_is_answered(self, capsys, argv):

@@ -1,5 +1,6 @@
 """Bilinear-form tests, including the independent double-coset oracle."""
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -30,7 +31,8 @@ from oddsym.form import (
 )
 from oddsym.polyq import QPoly
 
-from oracles import pair_htilde_inclusion_exclusion
+from oracles import pair_htilde_inclusion_exclusion, pair_words_by_expansion
+from test_cli import random_composition
 from test_oddring import PROPERTY
 
 ONE = QPoly((1,))
@@ -150,6 +152,51 @@ class TestGenericPairing:
                         e = matrix_inv(m)
                         counts[e] = counts.get(e, 0) + 1
                     assert pair_h_generic(b, a) == QPoly.from_exponent_counts(counts)
+
+
+class TestColoredGenericPairing:
+    """pair_words_generic (e-letters of one side as signed block rows)
+    against the route that expands every e-letter of both sides."""
+
+    def test_matches_double_expansion(self):
+        # long e-letters, which random compositions seldom draw
+        pairs = [
+            (((5, E), (2, H), (1, E)), ((1, H), (2, H), (5, E))),
+            (e_word((5, 1, 1)), e_word((2, 5))),
+            (e_word((6, 1)), e_word((2, 5))),
+            (((2, H), (5, E), (1, H)), e_word((1, 6, 1))),
+        ]
+        rng = random.Random(20110728)
+        for colors in [(E,)] * 15 + [(E, H)] * 25:
+            n = rng.randint(1, 8)
+            y, x = (
+                tuple((p, rng.choice(colors)) for p in random_composition(rng, n))
+                for _ in range(2)
+            )
+            pairs.append((y, x))
+        for y, x in pairs:
+            want = pair_words_by_expansion(y, x)
+            # either argument order, so either side becomes the block rows
+            assert pair_words_generic(y, x) == want, (y, x)
+            assert pair_words_generic(x, y) == want, (x, y)
+
+    def test_h_words_match_pair_h_generic(self):
+        for n in range(6):
+            for b in compositions_of(n):
+                for a in compositions_of(n):
+                    assert pair_words_generic(h_word(b), h_word(a)) == pair_h_generic(b, a)
+
+    def test_empty_words_and_degree_mismatch(self):
+        assert pair_words_generic((), ()) == ONE
+        for y, x in [
+            ((), e_word((2,))),
+            (e_word((3,)), h_word((1, 1))),
+            (e_word((2, 2)), ((3, E), (2, H))),
+            (((1, H), (2, E)), e_word((4,))),
+        ]:
+            assert pair_words_generic(y, x).is_zero(), (y, x)
+            assert pair_words_generic(x, y).is_zero(), (x, y)
+            assert pair_words_by_expansion(y, x).is_zero(), (y, x)
 
 
 class TestAdjointnessGeneric:
