@@ -8,11 +8,10 @@ black and a white platform is at most 1, and an entry a joining two black
 platforms carries the cable sign (-1)^T(a-1).
 
 Both pairings fill one row at a time with combinat.row_fillings, under an
-explicit limit per column, memoized on the remaining margins.  Colored words
-at generic q lift e_n = (-1)^T(n) sum_a (-1)^len(a) h_a: the side with the
-larger lift becomes rows, each e_n a signed block row -n that the h-word
-recursion fills as the compositions of n, and only the other side is
-expanded into h-words.
+explicit limit per column, memoized on the remaining margins.  At generic q
+the side with the larger e-expansion becomes rows, each e_n one row with
+entries at most 1 times (-q)^T(n-1); that factor is 1 at q = -1, where the
+row is the colored rule.  Only the other side is expanded into h-words.
 """
 
 from functools import lru_cache
@@ -43,33 +42,27 @@ def word_degree(word: Word) -> int:
 # generic-q pairing of h-words
 
 
-def _add_row(counts: dict, k: int, tail: tuple[int, ...], alpha: tuple[int, ...]) -> None:
-    """Adds the exponent counts of (h_k h_tail, h_alpha) to counts: each
-    first row of sum k, then the tail on the column margins left."""
-    for m, exp in row_fillings(k, alpha, alpha):
-        reduced = tuple(a - x for a, x in zip(alpha, m) if a - x > 0)
-        for sub_exp, sub_count in _pair_h(tail, reduced):
-            e = exp + sub_exp
-            counts[e] = counts.get(e, 0) + sub_count
-
-
 @lru_cache(maxsize=None)
 def _pair_h(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Exponent/count pairs of the generic pairing (h_beta, h_alpha); empty
-    when the degrees differ.  A row -r of beta is the signed block
-    sum over compositions k of r of (-1)^len(k) h_k: minus the sum over
-    k in 1..r of a row k followed by the block -(r - k)."""
+    when the degrees differ.  A row -r of beta is e_r: its lift
+    (-1)^T(r) sum_k (-1)^len(k) h_k over the compositions k of r is one row
+    with entries at most 1 times (-q)^T(r-1) (Solomon's alternating sum of
+    parabolic inductions; checked on every signed row word to degree 8)."""
     if not beta:
         return ((0, 1),) if not alpha else ()
     b, rest = beta[0], beta[1:]
+    limits = alpha if b >= 0 else tuple(min(a, 1) for a in alpha)
     counts: dict[int, int] = {}
+    for m, exp in row_fillings(abs(b), alpha, limits):
+        reduced = tuple(a - x for a, x in zip(alpha, m) if a - x > 0)
+        for sub_exp, sub_count in _pair_h(rest, reduced):
+            e = exp + sub_exp
+            counts[e] = counts.get(e, 0) + sub_count
     if b >= 0:
-        _add_row(counts, b, rest, alpha)
         return tuple(sorted(counts.items()))
-    for k in range(1, -b):
-        _add_row(counts, k, (b + k,) + rest, alpha)
-    _add_row(counts, -b, rest, alpha)
-    return tuple((e, -c) for e, c in sorted(counts.items()))
+    shift = triangular(-b - 1)
+    return tuple((e + shift, -c if shift % 2 else c) for e, c in sorted(counts.items()))
 
 
 def pair_h_generic(beta, alpha) -> QPoly:
@@ -159,19 +152,18 @@ def _expansion_log2(word: Word) -> int:
 
 def pair_words_generic(y: Word, x: Word) -> QPoly:
     """Generic-q pairing of colored words.  The form is symmetric, so the
-    side with the larger e-expansion becomes rows, e_n as the block row -n
-    times (-1)^T(n); only the other side is expanded into h-words."""
+    side with the larger e-expansion becomes rows, e_n as the row -n; only
+    the other side is expanded into h-words."""
     y, x = tuple(y), tuple(x)
     if word_degree(y) != word_degree(x):
         return QPoly()
     if _expansion_log2(y) < _expansion_log2(x):
         y, x = x, y
     rows = tuple(-n if c == E else n for n, c in y)
-    sign = -1 if sum(triangular(n) for n, c in y if c == E) % 2 else 1
     counts: dict[int, int] = {}
     for wx, cx in expand_colored_word(x).items():
         for e, c in _pair_h(rows, wx):
-            counts[e] = counts.get(e, 0) + sign * cx * c
+            counts[e] = counts.get(e, 0) + cx * c
     return QPoly.from_exponent_counts(counts)
 
 

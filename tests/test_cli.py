@@ -139,8 +139,8 @@ class TestCommands:
                 assert int(capsys.readouterr().out) == want, texts
 
     def test_pair_e_basis_degree_fourteen(self, capsys):
-        # each e_7 expands into 64 h-words, so the generic route would pair
-        # 64^4 word pairs; the colored rule answers directly
+        # degree 14 is past the generic route's bound of 10; the colored rule
+        # answers directly
         assert main(["pair", "--basis", "e", "--left", "7,7", "--right", "7,7",
                      "--q", "-1"]) == 0
         assert capsys.readouterr().out.strip() == "0"

@@ -154,9 +154,40 @@ class TestGenericPairing:
                     assert pair_h_generic(b, a) == QPoly.from_exponent_counts(counts)
 
 
+def e_row_mismatches(n: int) -> tuple[list, int]:
+    """The pairs (y, a) of degree n, y a colored word with an e-letter and a
+    a composition, where pair_words_generic in either argument order differs
+    from the oracle that expands every e-letter; and the number of pairs."""
+    comps = compositions_of(n)
+    bad, count = [], 0
+    for parts in comps:
+        for colors in product((H, E), repeat=len(parts)):
+            if E not in colors:
+                continue
+            y = tuple(zip(parts, colors))
+            for a in comps:
+                x = h_word(a)
+                want = pair_words_by_expansion(y, x)
+                count += 1
+                if pair_words_generic(y, x) != want or pair_words_generic(x, y) != want:
+                    bad.append((y, a))
+    return bad, count
+
+
 class TestColoredGenericPairing:
-    """pair_words_generic (e-letters of one side as signed block rows)
-    against the route that expands every e-letter of both sides."""
+    """pair_words_generic (e_n on one side as one row with entries at most 1,
+    times (-q)^T(n-1)) against the route that expands every e-letter of both
+    sides."""
+
+    def test_e_rows_match_expansion_oracle(self):
+        # every colored word with an e-letter against every h-word up to
+        # degree 5; a CI step runs degree 7
+        counts = []
+        for n in range(1, 6):
+            bad, count = e_row_mismatches(n)
+            assert not bad, bad[:5]
+            counts.append(count)
+        assert counts == [1, 8, 56, 368, 2336]
 
     def test_matches_double_expansion(self):
         # long e-letters, which random compositions seldom draw
@@ -176,7 +207,7 @@ class TestColoredGenericPairing:
             pairs.append((y, x))
         for y, x in pairs:
             want = pair_words_by_expansion(y, x)
-            # either argument order, so either side becomes the block rows
+            # either argument order, so either side becomes the e-rows
             assert pair_words_generic(y, x) == want, (y, x)
             assert pair_words_generic(x, y) == want, (x, y)
 
