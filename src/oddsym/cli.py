@@ -216,8 +216,8 @@ def cmd_pair(args) -> int:
         _bound("word degree at q = -1", degree, 0, MAX_WORD_DEGREE)
         value = payload = form.pair_words_odd(left, right)
     else:
-        # each e_n of one side is one row, and only the other side is expanded
-        # into h-words: every e-word pair of degree 10 takes under 0.1 s
+        # e-letters are rows and columns of one margin recursion, with no
+        # h-word expansion: every e-word pair of degree 10 takes under 0.1 s
         _bound("word degree", degree, 0, 10)
         value = form.pair_words_generic(left, right)
         if q == "generic":

@@ -1,17 +1,17 @@
 """Bilinear form on free h/e-words, computed by margin-matrix enumeration.
 
-The generic-q pairing of two h-words sums q^inv(A) over N-matrices A whose
-row margins are the left word and whose column margins the right word, inv
-counting SW-NE entry pairs.  At q = -1 colored words (e-letters = black
-platforms) follow the same scheme with two extra rules: an entry joining a
-black and a white platform is at most 1, and an entry a joining two black
-platforms carries the cable sign (-1)^T(a-1).
+A word is read as signed parts, h_n as n and e_n as -n.  The pairing of two
+words sums, over N-matrices A whose row margins are the left word and whose
+column margins the right word, the weight q^inv(A) (inv counting SW-NE entry
+pairs) times q^-T(v-1) for every entry v joining two e-letters, times
+(-q)^T(n-1) for every e-letter n of either word; an entry joining an e- and
+an h-letter is at most 1.  At q = -1 the (-q) factors are 1 and q^-T(v-1) is
+the cable sign of the colored rule (e-letters = black platforms).
 
-Both pairings fill one row at a time with combinat.row_fillings, under an
-explicit limit per column, memoized on the remaining margins.  At generic q
-the side with the larger e-expansion becomes rows, each e_n one row with
-entries at most 1 times (-q)^T(n-1); that factor is 1 at q = -1, where the
-row is the colored rule.  Only the other side is expanded into h-words.
+One row step, _row_steps, fills a row with combinat.row_fillings under these
+limits; the generic pairing _pair_h and the q = -1 pairing _pair_colored both
+read it, memoized on the remaining margins.  No word is expanded into
+h-words.
 """
 
 from functools import lru_cache
@@ -39,24 +39,41 @@ def word_degree(word: Word) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generic-q pairing of h-words
+# the form on colored words, as signed parts (-n for e_n)
+
+
+def _signed(word: Word) -> tuple[int, ...]:
+    return tuple(-n if c == E and n > 1 else n for n, c in word)
+
+
+def _row_steps(b: int, alpha: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Each filling of the signed row b against the signed columns alpha, as
+    (exponent, columns left): an entry where the colors differ is at most 1,
+    the exponent counts the SW-NE pairs with the rows below, and each entry v
+    joining two e-letters takes off T(v-1), at most the T(-b-1) of its row.
+    A part 1 has no color here (e_1 = h_1), so a column left at 1 is 1."""
+    if b >= 0 and min(alpha, default=0) >= 0:
+        return [(exp, tuple(a - v for a, v in zip(alpha, m) if a > v))
+                for m, exp in row_fillings(b, alpha, alpha)]
+    caps = tuple(map(abs, alpha))
+    limits = tuple(c if (a < 0) == (b < 0) else min(c, 1) for a, c in zip(alpha, caps))
+    return [(exp - sum(triangular(v - 1) for v, a in zip(m, alpha) if v > 1 and a < 0),
+             tuple(a + v if a + v < -1 else c - v
+                   for a, c, v in zip(alpha, caps, m) if v < c))
+            for m, exp in row_fillings(abs(b), caps, limits)]
 
 
 @lru_cache(maxsize=None)
 def _pair_h(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Exponent/count pairs of the generic pairing (h_beta, h_alpha); empty
-    when the degrees differ.  A row -r of beta is e_r: its lift
-    (-1)^T(r) sum_k (-1)^len(k) h_k over the compositions k of r is one row
-    with entries at most 1 times (-q)^T(r-1) (Solomon's alternating sum of
-    parabolic inductions; checked on every signed row word to degree 8)."""
+    """Exponent/count pairs of the generic pairing of the signed words beta
+    (rows) and alpha (columns), each e-row -r times its factor (-q)^T(r-1);
+    the e-columns' factors are the caller's.  Empty when the degrees differ."""
     if not beta:
         return ((0, 1),) if not alpha else ()
     b, rest = beta[0], beta[1:]
-    limits = alpha if b >= 0 else tuple(min(a, 1) for a in alpha)
     counts: dict[int, int] = {}
-    for m, exp in row_fillings(abs(b), alpha, limits):
-        reduced = tuple(a - x for a, x in zip(alpha, m) if a - x > 0)
-        for sub_exp, sub_count in _pair_h(rest, reduced):
+    for exp, left in _row_steps(b, alpha):
+        for sub_exp, sub_count in _pair_h(rest, left):
             e = exp + sub_exp
             counts[e] = counts.get(e, 0) + sub_count
     if b >= 0:
@@ -65,37 +82,44 @@ def _pair_h(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[tuple[int, i
     return tuple((e + shift, -c if shift % 2 else c) for e, c in sorted(counts.items()))
 
 
+def _pair_h_words(beta, alpha) -> tuple[tuple[int, int], ...]:
+    beta, alpha = tuple(beta), tuple(alpha)
+    if min(beta + alpha, default=0) < 0:
+        raise ValueError(f"h-word parts must be >= 0: {beta}, {alpha}")
+    return _pair_h(beta, alpha)
+
+
 def pair_h_generic(beta, alpha) -> QPoly:
     """(h_beta, h_alpha) at generic q; zero when the degrees differ."""
-    return QPoly.from_exponent_counts(dict(_pair_h(tuple(beta), tuple(alpha))))
+    return QPoly.from_exponent_counts(dict(_pair_h_words(beta, alpha)))
 
 
 def pair_h_at(beta, alpha, q: int) -> int:
     """(h_beta, h_alpha) specialized at an integer q."""
-    return sum(c * q**e for e, c in _pair_h(tuple(beta), tuple(alpha)))
+    return sum(c * q**e for e, c in _pair_h_words(beta, alpha))
 
 
-# ---------------------------------------------------------------------------
-# colored pairing at q = -1
+def pair_words_generic(y: Word, x: Word) -> QPoly:
+    """Generic-q pairing of colored words: y gives the rows and x the
+    columns of one _pair_h call, and each e-column e_n adds its factor
+    (-q)^T(n-1) here."""
+    cols = _signed(x)
+    shift = sum(triangular(-a - 1) for a in cols if a < 0)
+    sign = -1 if shift % 2 else 1
+    return QPoly.from_exponent_counts(
+        {e + shift: sign * c for e, c in _pair_h(_signed(y), cols)}
+    )
 
 
 @lru_cache(maxsize=None)
-def _pair_colored(beta: Word, alpha: Word) -> int:
+def _pair_colored(beta: tuple[int, ...], alpha: tuple[int, ...]) -> int:
+    """The q = -1 pairing of the signed words beta and alpha: the same rows,
+    where q^exp becomes (-1)^exp and every (-q) factor is 1."""
     if not beta:
         return 1 if not alpha else 0
-    if word_degree(beta) != word_degree(alpha):
-        return 0
-    (b, bcol), rest = beta[0], beta[1:]
-    caps = tuple(n for n, _ in alpha)
-    limits = tuple(n if c == bcol else min(n, 1) for n, c in alpha)
-    total = 0
-    for m, exp in row_fillings(b, caps, limits):
-        if bcol == E:
-            exp += sum(triangular(v - 1) for v, (_, c) in zip(m, alpha) if v and c == E)
-        sign = -1 if exp % 2 else 1
-        reduced = tuple((n - v, c) for v, (n, c) in zip(m, alpha) if n > v)
-        total += sign * _pair_colored(rest, reduced)
-    return total
+    rest = beta[1:]
+    return sum(-_pair_colored(rest, left) if exp % 2 else _pair_colored(rest, left)
+               for exp, left in _row_steps(beta[0], alpha))
 
 
 def pair_words_odd(y, x) -> int:
@@ -109,12 +133,8 @@ def pair_words_odd(y, x) -> int:
     for wy, cy in y_terms.items():
         for wx, cx in x_terms.items():
             if cy and cx:
-                total += cy * cx * _pair_colored(tuple(wy), tuple(wx))
+                total += cy * cx * _pair_colored(_signed(wy), _signed(wx))
     return total
-
-
-# ---------------------------------------------------------------------------
-# e-letters as h-word combinations
 
 
 @lru_cache(maxsize=None)
@@ -130,41 +150,6 @@ def e_expansion(n: int) -> dict:
     return {
         alpha: outer * (-1 if len(alpha) % 2 else 1) for alpha in compositions_of(n)
     }
-
-
-def expand_colored_word(word: Word) -> dict:
-    """Rewrite every e-letter of a colored word through its h-expansion."""
-    terms = {(): 1}
-    for n, color in word:
-        factor = e_expansion(n) if color == E else {(n,): 1}
-        new: dict = {}
-        for w, c in terms.items():
-            for fw, fc in factor.items():
-                key = w + fw
-                new[key] = new.get(key, 0) + c * fc
-        terms = new
-    return terms
-
-
-def _expansion_log2(word: Word) -> int:
-    return sum(n - 1 for n, c in word if c == E)
-
-
-def pair_words_generic(y: Word, x: Word) -> QPoly:
-    """Generic-q pairing of colored words.  The form is symmetric, so the
-    side with the larger e-expansion becomes rows, e_n as the row -n; only
-    the other side is expanded into h-words."""
-    y, x = tuple(y), tuple(x)
-    if word_degree(y) != word_degree(x):
-        return QPoly()
-    if _expansion_log2(y) < _expansion_log2(x):
-        y, x = x, y
-    rows = tuple(-n if c == E else n for n, c in y)
-    counts: dict[int, int] = {}
-    for wx, cx in expand_colored_word(x).items():
-        for e, c in _pair_h(rows, wx):
-            counts[e] = counts.get(e, 0) + cx * c
-    return QPoly.from_exponent_counts(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,6 @@ class QPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __str__(self):
         if not self.coeffs:
             return "0"

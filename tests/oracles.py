@@ -15,7 +15,7 @@ from oddsym.combinat import (
     partitions_of,
     triangular,
 )
-from oddsym.form import _pair_h, expand_colored_word, htilde_expansion
+from oddsym.form import E, _pair_h, e_expansion, htilde_expansion
 from oddsym.polyq import QPoly, det_exact, unimodular_inverse
 from oddsym.rsk import rsk, sign_record
 
@@ -53,6 +53,20 @@ def pair_htilde_inclusion_exclusion(beta, alpha) -> QPoly:
             for e, c in _pair_h(b, a):
                 counts[e] = counts.get(e, 0) + cb * ca * c
     return QPoly.from_exponent_counts(counts)
+
+
+def expand_colored_word(word) -> dict:
+    """Rewrite every e-letter of a colored word through its h-expansion."""
+    terms = {(): 1}
+    for n, color in word:
+        factor = e_expansion(n) if color == E else {(n,): 1}
+        new: dict = {}
+        for w, c in terms.items():
+            for fw, fc in factor.items():
+                key = w + fw
+                new[key] = new.get(key, 0) + c * fc
+        terms = new
+    return terms
 
 
 def pair_words_by_expansion(y, x) -> QPoly:

@@ -20,7 +20,6 @@ from oddsym.form import (
     coarsenings,
     e_expansion,
     e_word,
-    expand_colored_word,
     h_word,
     htilde_expansion,
     pair_h_at,
@@ -28,10 +27,15 @@ from oddsym.form import (
     pair_htilde,
     pair_words_generic,
     pair_words_odd,
+    word_degree,
 )
 from oddsym.polyq import QPoly
 
-from oracles import pair_htilde_inclusion_exclusion, pair_words_by_expansion
+from oracles import (
+    expand_colored_word,
+    pair_htilde_inclusion_exclusion,
+    pair_words_by_expansion,
+)
 from test_cli import random_composition
 from test_oddring import PROPERTY
 
@@ -121,6 +125,16 @@ class TestGenericPairing:
     def test_degree_mismatch_is_zero(self):
         assert pair_h_generic((2,), (1, 1, 1)).is_zero()
 
+    @pytest.mark.parametrize(
+        "beta, alpha", [((1,), (-1,)), ((-2,), (-2,)), ((-1, 2), (3,)), ((2,), (1, -1))]
+    )
+    def test_negative_parts_raise(self, beta, alpha):
+        # a negative part would be read as an e-letter without its column factor
+        with pytest.raises(ValueError):
+            pair_h_generic(beta, alpha)
+        with pytest.raises(ValueError):
+            pair_h_at(beta, alpha, 2)
+
     def test_symmetric(self):
         for n in range(7):
             comps = compositions_of(n)
@@ -154,29 +168,49 @@ class TestGenericPairing:
                     assert pair_h_generic(b, a) == QPoly.from_exponent_counts(counts)
 
 
+def colored_words(n: int):
+    """Every colored word of degree n, 2 * 3^(n-1) of them for n >= 1."""
+    for parts in compositions_of(n):
+        for colors in product((H, E), repeat=len(parts)):
+            yield tuple(zip(parts, colors))
+
+
 def e_row_mismatches(n: int) -> tuple[list, int]:
     """The pairs (y, a) of degree n, y a colored word with an e-letter and a
     a composition, where pair_words_generic in either argument order differs
     from the oracle that expands every e-letter; and the number of pairs."""
     comps = compositions_of(n)
     bad, count = [], 0
-    for parts in comps:
-        for colors in product((H, E), repeat=len(parts)):
-            if E not in colors:
-                continue
-            y = tuple(zip(parts, colors))
-            for a in comps:
-                x = h_word(a)
-                want = pair_words_by_expansion(y, x)
-                count += 1
-                if pair_words_generic(y, x) != want or pair_words_generic(x, y) != want:
-                    bad.append((y, a))
+    for y in colored_words(n):
+        if all(c == H for _, c in y):
+            continue
+        for a in comps:
+            x = h_word(a)
+            want = pair_words_by_expansion(y, x)
+            count += 1
+            if pair_words_generic(y, x) != want or pair_words_generic(x, y) != want:
+                bad.append((y, a))
     return bad, count
 
 
+def colored_mismatches(n: int) -> tuple[list, int]:
+    """The pairs (y, x) of colored words of degree n where
+    pair_words_generic differs from the oracle that expands every e-letter,
+    or pair_words_odd from the oracle's value at q = -1; and the number of
+    pairs."""
+    words = list(colored_words(n))
+    bad = []
+    for y in words:
+        for x in words:
+            want = pair_words_by_expansion(y, x)
+            if pair_words_generic(y, x) != want or pair_words_odd(y, x) != want.evaluate(-1):
+                bad.append((y, x))
+    return bad, len(words) ** 2
+
+
 class TestColoredGenericPairing:
-    """pair_words_generic (e_n on one side as one row with entries at most 1,
-    times (-q)^T(n-1)) against the route that expands every e-letter of both
+    """pair_words_generic (e-letters as rows and as columns of one memoized
+    margin recursion) against the route that expands every e-letter of both
     sides."""
 
     def test_e_rows_match_expansion_oracle(self):
@@ -188,6 +222,16 @@ class TestColoredGenericPairing:
             assert not bad, bad[:5]
             counts.append(count)
         assert counts == [1, 8, 56, 368, 2336]
+
+    def test_every_colored_pair_matches_expansion_oracle(self):
+        # every ordered pair of colored words up to degree 4, at generic q and
+        # at q = -1; a CI step runs degree 6
+        counts = []
+        for n in range(5):
+            bad, count = colored_mismatches(n)
+            assert not bad, bad[:5]
+            counts.append(count)
+        assert counts == [1, 4, 36, 324, 2916]
 
     def test_matches_double_expansion(self):
         # long e-letters, which random compositions seldom draw
@@ -207,7 +251,7 @@ class TestColoredGenericPairing:
             pairs.append((y, x))
         for y, x in pairs:
             want = pair_words_by_expansion(y, x)
-            # either argument order, so either side becomes the e-rows
+            # either argument order: each word's e-letters as rows and as columns
             assert pair_words_generic(y, x) == want, (y, x)
             assert pair_words_generic(x, y) == want, (x, y)
 
@@ -219,15 +263,18 @@ class TestColoredGenericPairing:
 
     def test_empty_words_and_degree_mismatch(self):
         assert pair_words_generic((), ()) == ONE
-        for y, x in [
-            ((), e_word((2,))),
-            (e_word((3,)), h_word((1, 1))),
-            (e_word((2, 2)), ((3, E), (2, H))),
-            (((1, H), (2, E)), e_word((4,))),
-        ]:
-            assert pair_words_generic(y, x).is_zero(), (y, x)
-            assert pair_words_generic(x, y).is_zero(), (x, y)
-            assert pair_words_by_expansion(y, x).is_zero(), (y, x)
+        assert pair_words_odd((), ()) == 1
+        # every ordered pair of colored words of unequal degrees up to 4
+        words = [w for n in range(5) for w in colored_words(n)]
+        count = 0
+        for y in words:
+            for x in words:
+                if word_degree(y) != word_degree(x):
+                    count += 1
+                    assert pair_words_generic(y, x).is_zero(), (y, x)
+                    assert pair_words_odd(y, x) == 0, (y, x)
+                    assert pair_words_by_expansion(y, x).is_zero(), (y, x)
+        assert count == 3280
 
 
 class TestAdjointnessGeneric:

@@ -22,6 +22,8 @@ from oddsym.oddring import (
 )
 from oddsym.polyq import det_exact
 
+from oracles import expand_colored_word
+
 # Seeded property runs: the same examples every run, no example database.
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
@@ -114,8 +116,6 @@ class TestGramRoute:
         words = [((2, E), (1, H)), ((3, E), (2, E)), ((1, H), (2, E), (1, H))]
         for w in words:
             expanded = {}
-            from oddsym.form import expand_colored_word
-
             for hw, c in expand_colored_word(w).items():
                 expanded[hw] = expanded.get(hw, 0) + c
             assert normalize_via_gram({w: 1}) == normalize(expanded)
