@@ -43,7 +43,13 @@ def word_degree(word: Word) -> int:
 
 
 def _signed(word: Word) -> tuple[int, ...]:
-    return tuple(-n if c == E and n > 1 else n for n, c in word)
+    """The signed parts, checked in one pass: n >= 0 and a color h or e."""
+    out = []
+    for n, c in word:
+        if n < 0 or c not in (H, E):
+            raise ValueError(f"not a colored letter: {(n, c)!r}")
+        out.append(-n if c == E and n > 1 else n)
+    return tuple(out)
 
 
 def _row_steps(b: int, alpha: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -123,33 +129,26 @@ def _pair_colored(beta: tuple[int, ...], alpha: tuple[int, ...]) -> int:
 
 
 def pair_words_odd(y, x) -> int:
-    """q = -1 pairing, bilinear over formal combinations of colored words.
-
-    Accepts single words or dicts word -> integer coefficient.
-    """
-    y_terms = y if isinstance(y, dict) else {tuple(y): 1}
-    x_terms = x if isinstance(x, dict) else {tuple(x): 1}
+    """q = -1 pairing, bilinear over formal combinations of colored words
+    (single words or dicts word -> integer coefficient); terms of unequal
+    degrees pair to 0 without entering the recursion."""
+    ys, xs = ([(c, _signed(w)) for w, c in
+               (t.items() if isinstance(t, dict) else [(t, 1)])] for t in (y, x))
     total = 0
-    for wy, cy in y_terms.items():
-        for wx, cx in x_terms.items():
-            if cy and cx:
-                total += cy * cx * _pair_colored(_signed(wy), _signed(wx))
+    for cy, sy in ys:
+        degree = sum(map(abs, sy))
+        for cx, sx in xs:
+            if cy and cx and degree == sum(map(abs, sx)):
+                total += cy * cx * _pair_colored(sy, sx)
     return total
 
 
-@lru_cache(maxsize=None)
 def e_expansion(n: int) -> dict:
     """The canonical lift of e_n to signed h-words:
     (-1)^T(n) * sum over compositions a of n of (-1)^len(a) h_a.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return {(): 1}
-    outer = -1 if triangular(n) % 2 else 1
-    return {
-        alpha: outer * (-1 if len(alpha) % 2 else 1) for alpha in compositions_of(n)
-    }
+    return {alpha: -1 if (triangular(n) + len(alpha)) % 2 else 1
+            for alpha in compositions_of(n)}
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,6 @@ def det_degree_check(n: int) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
 def degenerate_factors() -> tuple:
     """Minimal polynomials of the degenerate q-values with their listed
     multiplicities per degree, shipped as package data."""

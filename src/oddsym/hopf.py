@@ -9,8 +9,6 @@ axiom singles out the braided (Koszul-signed) reversal: see antipode and
 omega_sign_twist_reverse for the two inequivalent composites.
 """
 
-from functools import lru_cache
-
 from . import bases, oddring
 from .combinat import (
     partitions_of,
@@ -34,9 +32,7 @@ def sign_twist(x: OddElt) -> OddElt:
 
 
 def reverse(x: OddElt) -> OddElt:
-    return linear_combination(
-        (c, oddring.normalize(tuple(reversed(lam)))) for lam, c in x.terms.items()
-    )
+    return linear_combination((c, h_elt(lam[::-1])) for lam, c in x.terms.items())
 
 
 def antipode(x: OddElt) -> OddElt:
@@ -156,7 +152,7 @@ def antipode_images_check(n: int) -> list:
             ("composite_h", omega_sign_twist_reverse(h_elt(lam)),
              e_elt(rev).scale(sign)),
             ("composite_e", omega_sign_twist_reverse(e_elt(lam)),
-             oddring.normalize(rev).scale(sign)),
+             h_elt(rev).scale(sign)),
             ("antipode_h", antipode(h_elt(lam)), e_elt(rev).scale(total_sign)),
         ]
         for name, got, want in pairs:
@@ -230,7 +226,6 @@ def adjointness_check(n: int) -> list:
 # primitives and power sums
 
 
-@lru_cache(maxsize=None)
 def primitives(n: int) -> tuple[OddElt, ...]:
     """Integer basis of the primitive subspace in degree n, computed as the
     perpendicular of the span of all products of positive-degree elements.

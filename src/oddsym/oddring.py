@@ -54,7 +54,6 @@ def _ascent_expansion(a: int, b: int) -> tuple[tuple[int, tuple[int, ...]], ...]
 def normalize_word(word: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Image of a free h-word in the partition basis, as (partition, coeff)
     pairs."""
-    word = tuple(word)
     if any(n < 1 for n in word):
         raise ValueError("letters must be positive")
     i = next((i for i in range(len(word) - 1) if word[i] < word[i + 1]), None)
@@ -155,14 +154,9 @@ def h_elt(parts) -> OddElt:
 
 
 def normalize(terms) -> OddElt:
-    """Image in the quotient of a formal combination of free h-words."""
-    if isinstance(terms, tuple):
-        terms = {terms: 1}
-    out: dict[tuple[int, ...], int] = {}
-    for word, coeff in terms.items():
-        for part, c in normalize_word(tuple(word)):
-            out[part] = out.get(part, 0) + coeff * c
-    return OddElt._trusted(out)
+    """Image in the quotient of a formal combination of free h-words, given
+    as a dict word -> coefficient; a single h-word is h_elt."""
+    return linear_combination((c, h_elt(w)) for w, c in terms.items())
 
 
 @lru_cache(maxsize=None)
@@ -210,21 +204,11 @@ def pair(x: OddElt, y: OddElt) -> int:
 
 
 def normalize_via_gram(terms) -> OddElt:
-    """Independent normal-form route: coefficients solve M' c = [(h_mu, w)].
-
-    Accepts combinations of colored words (h- and e-letters), or of plain
-    h-words given as integer tuples.
+    """Independent normal-form route: coefficients solve M' c = [(h_mu, w)]
+    for a combination of colored words, given as a dict word -> coefficient.
     """
-    if isinstance(terms, tuple):
-        terms = {terms: 1}
-    colored: dict = {}
-    for word, coeff in terms.items():
-        word = tuple(word)
-        if word and not isinstance(word[0], tuple):
-            word = form.h_word(word)
-        colored[word] = colored.get(word, 0) + coeff
     by_degree: dict[int, dict] = {}
-    for word, coeff in colored.items():
+    for word, coeff in terms.items():
         by_degree.setdefault(form.word_degree(word), {})[word] = coeff
     out: dict[tuple[int, ...], int] = {}
     for n, chunk in by_degree.items():

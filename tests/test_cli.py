@@ -145,6 +145,15 @@ class TestCommands:
                      "--q", "-1"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_pair_of_unequal_degrees_enters_no_recursion(self, capsys):
+        # degrees 15 and 16: the colored recursion would fill rows until the
+        # margins fail
+        misses = form._pair_colored.cache_info().misses
+        assert main(["pair", "--basis", "e", "--left", "3^5", "--right", "2^8",
+                     "--q", "-1"]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert form._pair_colored.cache_info().misses == misses
+
     def test_pair_json(self, capsys):
         assert main(["pair", "--left", "2", "--right", "2", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)

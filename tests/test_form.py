@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from oddsym.combinat import (
     compositions_of,
     matrices_with_margins,
+    partitions_of,
     row_fillings,
+    sw_ne_pairs,
+    transpose,
     triangular,
 )
 from oddsym.form import (
@@ -208,6 +211,34 @@ def colored_mismatches(n: int) -> tuple[list, int]:
     return bad, len(words) ** 2
 
 
+def semiorthogonality_mismatches(n: int) -> tuple[list, int, int]:
+    """The pairs (y, x) of degree n where the generic form breaks
+    semi-orthogonality, with the number of diagonal pairs and of the (lam,
+    alpha) that vanish:
+    (h_lam, e_lam^T) = (e_lam^T, h_lam) = (-1)^t q^(t + sw_ne(lam)), with
+    t = sum_j T(lam^T_j - 1), and (h_lam, e_alpha) = (e_lam, h_alpha) = 0 for
+    every composition alpha > lam^T.  The only 0/1 matrix with margins lam
+    and lam^T is the Ferrers matrix (Gale-Ryser), so each diagonal value is
+    one signed monomial; the e-letters meet no e-letter, so the pairs test
+    the e-row and e-column factors and the limit of 1 across colors."""
+    bad, diagonal, vanishing = [], 0, 0
+    for lam in partitions_of(n):
+        lt = transpose(lam)
+        t = sum(triangular(m - 1) for m in lt)
+        want = QPoly((0,) * (t + sw_ne_pairs(lam)) + ((-1) ** t,))
+        for y, x in ((h_word(lam), e_word(lt)), (e_word(lt), h_word(lam))):
+            diagonal += 1
+            if pair_words_generic(y, x) != want:
+                bad.append((y, x))
+        for alpha in compositions_of(n):
+            if alpha > lt:
+                vanishing += 1
+                for y, x in ((h_word(lam), e_word(alpha)), (e_word(lam), h_word(alpha))):
+                    if not pair_words_generic(y, x).is_zero():
+                        bad.append((y, x))
+    return bad, diagonal, vanishing
+
+
 class TestColoredGenericPairing:
     """pair_words_generic (e-letters as rows and as columns of one memoized
     margin recursion) against the route that expands every e-letter of both
@@ -275,6 +306,23 @@ class TestColoredGenericPairing:
                     assert pair_words_odd(y, x) == 0, (y, x)
                     assert pair_words_by_expansion(y, x).is_zero(), (y, x)
         assert count == 3280
+
+    def test_semiorthogonality_at_generic_q(self):
+        # every partition of degree 1..8; a CI step runs degree 10
+        diagonal = vanishing = 0
+        for n in range(1, 9):
+            bad, d, v = semiorthogonality_mismatches(n)
+            assert not bad, bad[:5]
+            diagonal, vanishing = diagonal + d, vanishing + v
+        assert (diagonal, vanishing) == (132, 854)
+
+    @pytest.mark.parametrize("pair_words", [pair_words_odd, pair_words_generic])
+    @pytest.mark.parametrize("letter", [(-2, H), (2, "x")])
+    def test_malformed_letter_rejected(self, pair_words, letter):
+        # (-2, h) has the degree of e_2, so only the letter check rejects it
+        for y, x in (((letter,), ((2, E),)), (((2, E),), (letter,))):
+            with pytest.raises(ValueError, match="not a colored letter"):
+                pair_words(y, x)
 
 
 class TestAdjointnessGeneric:
