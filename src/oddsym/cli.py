@@ -20,7 +20,7 @@ from . import bases, form, gramdet, hopf, oddring
 from .combinat import is_partition, matrix_sign, partitions_of
 from .polyq import QPoly
 from .rsk import rsk as rsk_map
-from .rsk import rsk_verify_degree, sign_record, sign_theorem_check
+from .rsk import rsk_verify_degree, sign_record, sign_theorem_check, tableau_facts
 
 # The pair word degree bound at q = -1, the largest degree bound.  Every part
 # is at least 1, so parse_parts rejects a longer k^m run before building it.
@@ -316,7 +316,8 @@ def cmd_rsk(args) -> int:
     matrix = parse_matrix(args.matrix)
     _bound("matrix weight", sum(map(sum, matrix)), 0, 1000)
     _bound("matrix entry count", sum(map(len, matrix)), 1, 1000)
-    payload = sign_record(matrix, rsk_map(matrix), matrix_sign(matrix))
+    p, q = rsk_map(matrix)
+    payload = sign_record(matrix, tableau_facts(p), tableau_facts(q), matrix_sign(matrix))
     if args.format == "json":
         print(json.dumps(payload))
     else:

@@ -95,19 +95,23 @@ def rsk(matrix) -> RskPair:
     return RskPair(Tableau(p_rows), Tableau(q_rows))
 
 
-def sign_record(matrix, pair: RskPair, sign_a: int) -> dict:
-    """The signs of one N-matrix, sign(A) = (-1)^matrix_inv(A), and its RSK
-    image: the record that `rsk --matrix` prints and odd_rsk_check keeps per
-    matrix."""
-    p, q = pair
+def tableau_facts(t: Tableau) -> tuple:
+    """What a sign record reads of a tableau: its lists, sign and shape."""
+    return t.to_lists(), t.sign(), t.shape
+
+
+def sign_record(matrix, p: tuple, q: tuple, sign_a: int) -> dict:
+    """The signs of one N-matrix, sign(A) = (-1)^matrix_inv(A), and of its
+    RSK image, given as the tableau_facts of P and Q: the record that
+    `rsk --matrix` prints and odd_rsk_check keeps per matrix."""
     return {
         "matrix": [list(r) for r in matrix],
-        "P": p.to_lists(),
-        "Q": q.to_lists(),
+        "P": p[0],
+        "Q": q[0],
         "sign_A": sign_a,
-        "sign_P": p.sign(),
-        "sign_Q": q.sign(),
-        "shape_sign": shape_sign(p.shape),
+        "sign_P": p[1],
+        "sign_Q": q[1],
+        "shape_sign": shape_sign(p[2]),
     }
 
 
@@ -125,32 +129,41 @@ def odd_rsk_check(mu, rho) -> dict:
     the column margins left, in the order of matrices_with_margins.  Each
     row is inserted into copies of its parent's P and Q, so matrices sharing
     their first rows share that work, and the row exponents sum to
-    matrix_inv, whose parity is sign(A).
+    matrix_inv, whose parity is sign(A).  Within the class the row fillings
+    of each (row, column margins left), and the facts of each distinct P
+    and Q (record lists, sign, shape, SSYT of the right content), are found
+    once; records of equal tableaux share those lists, which are read-only.
     """
     mu, rho = tuple(mu), tuple(rho)
     if sum(mu) != sum(rho):
         raise ValueError("row and column margins have different weights")
     entries = []
     images = set()
+    p_facts, q_facts, row_memo = {}, {}, {}
+
+    def facts(memo, key, content):
+        # an entry outside 1..len(content) fails the check rather than raise
+        if key not in memo:
+            t = Tableau(key)
+            ssyt = t.is_semistandard() and max(map(max, key), default=0) <= len(content)
+            memo[key] = (*tableau_facts(t), ssyt and t.content(len(content)) == content)
+        return memo[key]
 
     def fill(i, rows, left, inv, p_rows, q_rows):
         if i == len(mu):
-            p, q = pair = RskPair(Tableau(p_rows), Tableau(q_rows))
-            e = sign_record(rows, pair, -1 if inv % 2 else 1)
-            e["ok"] = (
-                e["sign_A"] == e["shape_sign"] * e["sign_P"] * e["sign_Q"]
-                and p.shape == q.shape
-                and p.is_semistandard()
-                and q.is_semistandard()
-                and p.content(len(rho)) == rho
-                and q.content(len(mu)) == mu
-            )
-            images.add((p.rows, q.rows))
+            image = tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
+            p, q = facts(p_facts, image[0], rho), facts(q_facts, image[1], mu)
+            e = sign_record(rows, p, q, -1 if inv % 2 else 1)
+            e["ok"] = (e["sign_A"] == e["shape_sign"] * e["sign_P"] * e["sign_Q"]
+                       and p[2] == q[2] and p[3] and q[3])
+            images.add(image)
             entries.append(e)
             return
-        # the last row is what the column margins leave, with no rows below
-        fillings = [(left, 0)] if i == len(mu) - 1 else row_fillings(mu[i], left, left)
-        for m, exp in fillings:
+        if (i, left) not in row_memo:
+            # the last row is what the column margins leave, with no rows below
+            row_memo[i, left] = ([(left, 0)] if i == len(mu) - 1
+                                 else row_fillings(mu[i], left, left))
+        for m, exp in row_memo[i, left]:
             p, q = [list(r) for r in p_rows], [list(r) for r in q_rows]
             _insert_row(p, q, i + 1, m)
             fill(i + 1, rows + (m,), tuple(map(sub, left, m)), inv + exp, p, q)

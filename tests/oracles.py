@@ -17,7 +17,7 @@ from oddsym.combinat import (
 )
 from oddsym.form import E, _pair_h, e_expansion, htilde_expansion
 from oddsym.polyq import QPoly, det_exact, unimodular_inverse
-from oddsym.rsk import rsk, sign_record
+from oddsym.rsk import rsk, sign_record, tableau_facts
 
 
 def det_at_points(matrix, points) -> list[int]:
@@ -162,8 +162,8 @@ def odd_rsk_per_matrix(mu, rho) -> list:
     mu, rho = tuple(mu), tuple(rho)
     records = []
     for a in matrices_with_margins(mu, rho):
-        p, q = pair = rsk(a)
-        e = sign_record(a, pair, matrix_sign(a))
+        p, q = rsk(a)
+        e = sign_record(a, tableau_facts(p), tableau_facts(q), matrix_sign(a))
         e["ok"] = (
             e["sign_A"] == e["shape_sign"] * e["sign_P"] * e["sign_Q"]
             and p.shape == q.shape

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from oddsym import form, gramdet, hopf, rsk
-from oddsym.combinat import matrices_with_margins
+from oddsym.combinat import matrices_with_margins, partitions_of
 from oddsym.cli import (
     MAX_WORD_DEGREE,
     build_parser,
@@ -256,6 +256,43 @@ class TestCommands:
         records = [r for cls in rsk.rsk_verify_degree(3) for r in cls["matrices"]]
         assert len(records) > 1
         assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(records))
+
+    def test_rsk_verify_record_is_the_matrix_payload(self, capsys):
+        # one record builder: without "ok", each verify record serializes
+        # byte for byte, key order included, as the rsk --matrix payload
+        count = 0
+        for n in range(1, 5):
+            for cls in rsk.rsk_verify_degree(n):
+                for record in cls["matrices"]:
+                    record = {k: v for k, v in record.items() if k != "ok"}
+                    assert main(["rsk", "--matrix", json.dumps(record["matrix"]),
+                                 "--format", "json"]) == 0
+                    assert capsys.readouterr().out == json.dumps(record) + "\n"
+                    count += 1
+        assert count == sum(len(matrices_with_margins(mu, rho))
+                            for n in range(1, 5)
+                            for mu in partitions_of(n) for rho in partitions_of(n))
+
+    def test_rsk_verify_entry_out_of_range(self, monkeypatch, capsys):
+        # after each row insertion the largest entry of P becomes 9, outside
+        # the content range: a failed check with its witness, not exit 2
+        insert_row = rsk._insert_row
+
+        def raised(p_rows, q_rows, i, row):
+            insert_row(p_rows, q_rows, i, row)
+            max(p_rows, key=lambda r: r[-1])[-1] = 9
+
+        monkeypatch.setattr(rsk, "_insert_row", raised)
+        assert main(["rsk", "--verify", "2"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert err == ""
+        assert lines[-2] == "degree 2 FAIL"
+        first = json.loads(lines[-1])
+        assert (first["mu"], first["rho"], first["ok"]) == ([1, 1], [1, 1], False)
+        # both images are semistandard, so only the content check rejects them
+        assert [(e["P"], e["ok"]) for e in first["matrices"]] == [
+            ([[1], [9]], False), ([[2], [9]], False)]
 
     def test_rsk_verify_failure(self, monkeypatch, capsys):
         # each row the kernel fills gains one SW-NE pair, which flips sign(A)

@@ -285,6 +285,39 @@ class TestOddRskTheorem:
         assert all(e["ok"] for e in r["matrices"])
         assert not r["bijective"] and not r["ok"]
 
+    def test_one_flipped_tableau_fails_its_records_only(self, monkeypatch, capsys):
+        # the sign of one tableau T of shape (3, 1) flips; other tableaux of
+        # that shape keep theirs, so facts keyed on the shape would miss it.
+        # A record with P == Q == T flips both signs and still holds.
+        import json
+
+        from oddsym.bases import kostka_matrix
+        from oddsym.cli import main
+
+        t = Tableau([(1, 1, 2), (2,)])
+        kostka_matrix(4)  # the signed Kostka table reads Tableau.sign too
+        sign = Tableau.sign
+        monkeypatch.setattr(Tableau, "sign", lambda s: -sign(s) if s == t else sign(s))
+        first_bad = None
+        flipped = 0
+        for report in rsk_verify_degree(4):
+            hit = False
+            for e in report["matrices"]:
+                once = (e["P"] == t.to_lists()) != (e["Q"] == t.to_lists())
+                assert e["ok"] is not once, e
+                hit |= once
+                flipped += once
+            assert report["ok"] is not hit
+            if hit and first_bad is None:
+                first_bad = report
+        assert flipped and first_bad is not None
+        assert sign_theorem_check(4) == [first_bad]
+        assert main(["verify", "--suite", "rsk", "--max-degree", "4",
+                     "--format", "json"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures == [{"check": "rsk/sign-theorem deg 4",
+                             "witness": json.loads(json.dumps([first_bad]))}]
+
     def test_pass_matches_per_matrix_oracle(self):
         # the matrices in matrices_with_margins order, then record for record
         for n in range(1, 7):
