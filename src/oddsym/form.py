@@ -11,7 +11,8 @@ the cable sign of the colored rule (e-letters = black platforms).
 One row step, _row_steps, fills a row with combinat.row_fillings under these
 limits; the generic pairing _pair_h and the q = -1 pairing _pair_colored both
 read it, memoized on the remaining margins.  No word is expanded into
-h-words.
+h-words.  Every q = -1 value, pair_h_at(beta, alpha, -1) included, comes from
+_pair_colored; _pair_h serves generic q and the other integers.
 """
 
 from functools import lru_cache
@@ -88,21 +89,24 @@ def _pair_h(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[tuple[int, i
     return tuple((e + shift, -c if shift % 2 else c) for e, c in sorted(counts.items()))
 
 
-def _pair_h_words(beta, alpha) -> tuple[tuple[int, int], ...]:
+def _h_words(beta, alpha) -> tuple[tuple[int, ...], tuple[int, ...]]:
     beta, alpha = tuple(beta), tuple(alpha)
     if min(beta + alpha, default=0) < 0:
         raise ValueError(f"h-word parts must be >= 0: {beta}, {alpha}")
-    return _pair_h(beta, alpha)
+    return beta, alpha
 
 
 def pair_h_generic(beta, alpha) -> QPoly:
     """(h_beta, h_alpha) at generic q; zero when the degrees differ."""
-    return QPoly.from_exponent_counts(dict(_pair_h_words(beta, alpha)))
+    return QPoly.from_exponent_counts(dict(_pair_h(*_h_words(beta, alpha))))
 
 
 def pair_h_at(beta, alpha, q: int) -> int:
-    """(h_beta, h_alpha) specialized at an integer q."""
-    return sum(c * q**e for e, c in _pair_h_words(beta, alpha))
+    """(h_beta, h_alpha) at an integer q; at q = -1 the colored rule."""
+    beta, alpha = _h_words(beta, alpha)
+    if q == -1:
+        return _pair_colored(beta, alpha) if sum(beta) == sum(alpha) else 0
+    return sum(c * q**e for e, c in _pair_h(beta, alpha))
 
 
 def pair_words_generic(y: Word, x: Word) -> QPoly:

@@ -14,10 +14,10 @@ lexicographically larger, so the rewriting terminates.
 Straightening is cross-validated against an independent route: solve
 M' c = [(h_mu, w)]_mu, with M' the partition Gram matrix (determinant +-1).
 
-The form on the quotient dots the coefficients of y with the row p of the
-memoized partition Gram matrix to give (h_p, y); pair and pair_tensor both
-sum these values.  Linear combinations of elements are summed in one dict
-(linear_combination).
+The form on the quotient sums the coefficients of y against
+form.pair_h_at(p, mu, -1), the colored rule that form memoizes, to give
+(h_p, y); pair and pair_tensor both sum these values.  Linear combinations
+of elements are summed in one dict (linear_combination).
 
 OddElt(terms) checks that every key is a partition, since that is where
 outside input enters.  Results built from normal forms, memo tables or the
@@ -26,7 +26,7 @@ keys of other elements come through OddElt._trusted, which skips the check.
 
 from functools import lru_cache
 
-from . import form, gramdet
+from . import form
 from .combinat import compositions_of, is_partition, partitions_of, sw_ne_pairs, transpose
 from .polyq import unimodular_inverse
 
@@ -176,12 +176,11 @@ def e_elt(parts) -> OddElt:
 # pairing and the Gram route
 
 
-@lru_cache(maxsize=None)
 def _gram_rows(n: int) -> dict:
     """The partition-basis Gram matrix at q = -1 keyed by partitions:
     rows[lam][mu] = (h_lam, h_mu), both in ascending lex order."""
-    parts, rows = gramdet.gram_matrix(n, q=-1, basis="partitions")
-    return {lam: dict(zip(parts, row)) for lam, row in zip(parts, rows)}
+    parts = partitions_of(n)
+    return {lam: {mu: form.pair_h_at(lam, mu, -1) for mu in parts} for lam in parts}
 
 
 @lru_cache(maxsize=None)
@@ -191,11 +190,8 @@ def gram_h_inverse(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _pair_h_with(part: tuple[int, ...], y: OddElt) -> int:
-    """(h_part, y), read off the memoized Gram matrix of the degree."""
-    n = sum(part)
-    return sum(
-        c * _gram_rows(n)[part][mu] for mu, c in y.terms.items() if sum(mu) == n
-    )
+    """(h_part, y), each (h_part, h_mu) from form.pair_h_at at q = -1."""
+    return sum(c * form.pair_h_at(part, mu, -1) for mu, c in y.terms.items())
 
 
 def pair(x: OddElt, y: OddElt) -> int:

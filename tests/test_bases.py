@@ -1,7 +1,9 @@
+import json
 from math import prod
 
 import pytest
 
+from oddsym import bases
 from oddsym.bases import (
     basis_matrix,
     forgotten,
@@ -14,8 +16,9 @@ from oddsym.bases import (
     schur_alt_routes,
     schur_orthonormality,
 )
+from oddsym.cli import main
 from oddsym.combinat import partitions_of, shape_sign, sw_ne_pairs, transpose, triangular_sum
-from oddsym.form import e_word, h_word, pair_h_at, pair_words_odd
+from oddsym.form import e_word, h_word, pair_h_generic, pair_words_odd
 from oddsym.oddring import OddElt, e_elt, e_letter, h_elt, pair
 from oddsym.polyq import det_exact
 
@@ -78,7 +81,7 @@ class TestBasisMatrices:
             _, hh = basis_matrix("hh", n)
             for i, lam in enumerate(parts):
                 for j, mu in enumerate(parts):
-                    assert hh[i][j] == pair_h_at(lam, mu, -1)
+                    assert hh[i][j] == pair_h_generic(lam, mu).evaluate(-1)
 
     def test_symmetry_of_hh_and_ee(self):
         for n in range(1, 7):
@@ -238,6 +241,26 @@ class TestSchur:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_orthonormality_report(self, n):
         assert not schur_orthonormality(n)
+
+    def test_orthonormality_report_names_a_wrong_vector(self, monkeypatch, capsys):
+        # s_(2,1) replaced by s_(2,1) + s_(3): its norm and both pairings
+        # with s_(3) fail, and nothing else does
+        true_schur = bases.schur
+
+        def wrong_schur(lam):
+            s = true_schur(lam)
+            return s + true_schur((3,)) if tuple(lam) == (2, 1) else s
+
+        monkeypatch.setattr(bases, "schur", wrong_schur)
+        want = [{"lambda": (2, 1), "mu": (2, 1), "got": 0, "want": -1},
+                {"lambda": (2, 1), "mu": (3,), "got": 1, "want": 0},
+                {"lambda": (3,), "mu": (2, 1), "got": 1, "want": 0}]
+        assert schur_orthonormality(3) == want
+        assert main(["verify", "--suite", "schur", "--max-degree", "3",
+                     "--format", "json"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert {"check": "schur/orthonormality deg 3",
+                "witness": json.loads(json.dumps(want))} in failures
 
     def test_alt_routes(self):
         for n in range(1, 6):

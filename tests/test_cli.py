@@ -229,14 +229,13 @@ class TestCommands:
         assert data["entries"] == [[1, 0, 0], [0, 1, 0], [1, 1, 1]]
 
     def test_gram_json_at_an_integer_q(self, capsys):
-        # integer entries, against the colored q = -1 rule
+        # integer entries, against the generic pairing evaluated at q = -1
         assert main(["gram", "--degree", "3", "--q", "-1", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         labels = [tuple(r) for r in data["rows"]]
         assert labels == gramdet.composition_labels(3)
         assert data["entries"] == [
-            [form.pair_words_odd(form.h_word(b), form.h_word(a)) for a in labels]
-            for b in labels]
+            [form.pair_h_generic(b, a).evaluate(-1) for a in labels] for b in labels]
 
     def test_rsk_matrix(self, capsys):
         assert main(["rsk", "--matrix", "[[1,0],[0,1],[1,0]]",

@@ -1,12 +1,14 @@
 """Bilinear-form tests, including the independent double-coset oracle."""
 
 import random
+import sys
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oddsym import form
 from oddsym.combinat import (
     compositions_of,
     matrices_with_margins,
@@ -135,8 +137,9 @@ class TestGenericPairing:
         # a negative part would be read as an e-letter without its column factor
         with pytest.raises(ValueError):
             pair_h_generic(beta, alpha)
-        with pytest.raises(ValueError):
-            pair_h_at(beta, alpha, 2)
+        for q in (2, -1):
+            with pytest.raises(ValueError):
+                pair_h_at(beta, alpha, q)
 
     def test_symmetric(self):
         for n in range(7):
@@ -371,7 +374,8 @@ class TestOddPairing:
         for n in range(8):
             for b in compositions_of(n):
                 for a in compositions_of(n):
-                    assert pair_words_odd(h_word(b), h_word(a)) == pair_h_at(b, a, -1)
+                    want = pair_h_generic(b, a).evaluate(-1)
+                    assert pair_words_odd(h_word(b), h_word(a)) == want
 
     def test_eh_characterization(self):
         # (h_alpha, e_n) = 1 iff alpha = (1^n)
@@ -414,6 +418,39 @@ class TestOddPairing:
             h_word((3,)), h_word((1, 1, 1))
         )
         assert pair_words_odd(y, x) == direct
+
+
+class TestPairHAtMinusOne:
+    def test_matches_generic_route(self):
+        # every composition pair of degree <= 6, unequal degrees included
+        comps = [a for n in range(7) for a in compositions_of(n)]
+        for b in comps:
+            for a in comps:
+                assert pair_h_at(b, a, -1) == pair_h_generic(b, a).evaluate(-1), (b, a)
+
+    def test_unequal_degrees_enter_no_recursion(self):
+        misses = form._pair_colored.cache_info().misses
+        assert pair_h_at((3,) * 5, (2,) * 8, -1) == 0
+        assert form._pair_colored.cache_info().misses == misses
+
+    def test_library_reads_no_generic_value_at_minus_one(self):
+        # from cold caches, the q = -1 Gram tables, the quotient pairing and
+        # an RSK margin class all pair through the colored rule alone
+        from oddsym.gramdet import gram_matrix
+        from oddsym.oddring import gram_h_inverse, h_elt, pair
+        from oddsym.rsk import odd_rsk_check
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("oddsym."):
+                for f in vars(module).values():
+                    if hasattr(f, "cache_clear"):
+                        f.cache_clear()
+        gram_matrix(5, q=-1)
+        gram_h_inverse(5)
+        assert pair(h_elt((2, 1)), h_elt((1, 1, 1))) == pair_h_at((2, 1), (1, 1, 1), -1)
+        assert odd_rsk_check((3, 2), (2, 2, 1))["ok"]
+        assert form._pair_colored.cache_info().currsize > 0
+        assert form._pair_h.cache_info().currsize == 0
 
 
 class TestEExpansion:

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from oddsym import oddring
+from oddsym import hopf, oddring
+from oddsym.cli import main
 from oddsym.combinat import partitions_of, reverse_sort_sign
 from oddsym.hopf import (
     adjointness_check,
@@ -179,6 +182,17 @@ class TestPrimitives:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_primitives_check(self, n):
         assert not primitives_check(n)
+
+    def test_primitives_check_reports_a_missing_dimension(self, monkeypatch, capsys):
+        # an empty kernel leaves degree 4 without its primitive p_4
+        monkeypatch.setattr(hopf, "kernel_basis", lambda rows: [])
+        assert primitives_check(4) == [{"degree": 4, "dimension": 0, "expected": 1}]
+        assert main(["verify", "--suite", "primitives", "--max-degree", "4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL  primitives deg 4" in lines
+        failures = json.loads(lines[-1])["failures"]
+        assert {"check": "primitives deg 4",
+                "witness": [{"degree": 4, "dimension": 0, "expected": 1}]} in failures
 
     def test_primitive_coproduct(self):
         for n in range(1, 9):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oddsym.bases import monomial, schur
 from oddsym.combinat import compositions_of, partitions_of, transpose
-from oddsym.form import E, H, e_word, h_word, pair_words_odd
+from oddsym.form import E, H, e_word, h_word, pair_h_generic
 from oddsym.hopf import antipode, sign_twist
 from oddsym.oddring import (
     OddElt,
@@ -37,9 +37,10 @@ def elements(degrees):
     ).map(OddElt)
 
 
-def h_words(x: OddElt) -> dict:
-    """x as a combination of free h-words, for the colored pairing."""
-    return {h_word(lam): c for lam, c in x.terms.items()}
+def pair_by_generic_route(x: OddElt, y: OddElt) -> int:
+    """(x, y) from the generic h-pairing of form, evaluated at q = -1."""
+    return sum(cx * cy * pair_h_generic(p, mu).evaluate(-1)
+               for p, cx in x.terms.items() for mu, cy in y.terms.items())
 
 
 def coproduct_in_slot(delta: dict, slot: int) -> dict:
@@ -252,23 +253,23 @@ class TestPairing:
 
     @PROPERTY
     @given(st.data())
-    def test_matches_colored_rule(self, data):
-        # pair reads the Gram matrix of the generic h-pairing at q = -1; the
-        # colored recursion of form.pair_words_odd is an independent route
+    def test_matches_generic_route(self, data):
+        # pair reads the colored q = -1 rule; the generic h-pairing of form,
+        # evaluated at q = -1, is an independent route
         n, m = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
         x, y = data.draw(elements((n, m))), data.draw(elements((n,)))
-        assert pair(x, y) == pair_words_odd(h_words(x), h_words(y))
+        assert pair(x, y) == pair_by_generic_route(x, y)
 
     @PROPERTY
     @given(st.data())
-    def test_pair_tensor_matches_colored_rule(self, data):
+    def test_pair_tensor_matches_generic_route(self, data):
         n = data.draw(st.integers(0, 6))
         d1 = data.draw(st.integers(0, n))
         z = data.draw(elements((n,)))
         y1, y2 = data.draw(elements((d1,))), data.draw(elements((n - d1,)))
         want = sum(
-            c * pair_words_odd(h_word(p1), h_words(y1))
-            * pair_words_odd(h_word(p2), h_words(y2))
+            c * pair_by_generic_route(OddElt({p1: 1}), y1)
+            * pair_by_generic_route(OddElt({p2: 1}), y2)
             for (p1, p2), c in coproduct(z).items()
         )
         assert pair_tensor(coproduct(z), y1, y2) == want
