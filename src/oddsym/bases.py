@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from . import form, oddring
 from .combinat import (
+    is_partition,
     partitions_of,
     shape_sign,
     ssyt,
@@ -20,7 +21,6 @@ from .combinat import (
     triangular_sum,
 )
 from .oddring import OddElt, linear_combination
-from .polyq import unimodular_inverse
 
 
 def kostka(lam, mu) -> int:
@@ -65,41 +65,45 @@ def basis_matrix(kind: str, n: int):
 # dual bases
 
 
-def _row(table, mu):
-    """Row mu of a table over the partitions of |mu|, as (partition, entry)
-    pairs."""
-    parts = partitions_of(sum(mu))
-    return zip(parts, table[parts.index(tuple(mu))])
+def _partition(mu) -> tuple:
+    """mu as a tuple; ValueError unless it is a partition."""
+    if not is_partition(mu):
+        raise ValueError(f"not a partition: {tuple(mu)}")
+    return tuple(mu)
 
 
 def monomial(mu) -> OddElt:
-    """Dual basis vector to h_mu: (h_lam, m_mu) = delta, a row of the
+    """Dual basis vector to h_mu: (h_lam, m_mu) = delta, row mu of the
     inverse (h,h) Gram matrix."""
-    return OddElt._trusted(dict(_row(oddring.gram_h_inverse(sum(mu)), mu)))
+    mu = _partition(mu)
+    return OddElt._trusted(oddring.gram_h_inverse(sum(mu))[mu])
 
 
 def forgotten(mu) -> OddElt:
     """Dual basis vector to e_mu: (e_lam, f_mu) = delta.
 
-    With row kappa of E the h-coordinates of e_kappa, (e_kappa, m_lam) =
-    E[kappa][lam], so f_mu = sum_lam (E^-1)[lam][mu] m_lam.
+    With E the table whose row kappa is e_kappa in h-coordinates,
+    (e_kappa, m_lam) = E[kappa][lam], so f_mu = sum_lam (E^-1)[lam][mu] m_lam.
     """
-    parts, inv = oddring._e_change_of_basis(sum(mu))
-    j = parts.index(tuple(mu))
+    mu = _partition(mu)
     return linear_combination(
-        (row[j], monomial(lam)) for lam, row in zip(parts, inv) if row[j]
+        (row[mu], monomial(lam)) for lam, row in oddring._h_in_e(sum(mu)).items()
+        if mu in row
     )
 
 
 @lru_cache(maxsize=None)
-def _schur_table(n: int):
-    """Schur vectors in h-coordinates: invert the unitriangular transpose of
-    the Kostka matrix (h_mu = sum_lam K[lam][mu] s_lam)."""
-    return tuple(map(tuple, unimodular_inverse(list(zip(*kostka_matrix(n)[1])))))
+def _schur_table(n: int) -> dict:
+    """Partition-keyed rows: row lam is s_lam in h-coordinates, the inverse
+    of the transposed Kostka matrix (h_mu = sum_lam K[lam][mu] s_lam)."""
+    parts, rows = kostka_matrix(n)
+    return oddring._inverse_rows({mu: dict(zip(parts, col))
+                                  for mu, col in zip(parts, zip(*rows))})
 
 
 def schur(lam) -> OddElt:
-    return OddElt._trusted(dict(_row(_schur_table(sum(lam)), lam)))
+    lam = _partition(lam)
+    return OddElt._trusted(_schur_table(sum(lam))[lam])
 
 
 def power_sum(n: int) -> OddElt:
@@ -135,13 +139,13 @@ def schur_alt_routes(lam) -> list:
     lam = tuple(lam)
     n = sum(lam)
     parts, rows = kostka_matrix(n)
-    K = dict(zip(parts, rows))
+    K = {rho: dict(zip(parts, row)) for rho, row in zip(parts, rows)}
     s = schur(lam)
     checks = {}
 
     # route 1: shape_sign(lam) * s_lam = sum_mu K[lam][mu] m_mu
     via_m = linear_combination(
-        (c, monomial(mu)) for mu, c in zip(parts, K[lam]) if c
+        (c, monomial(mu)) for mu, c in K[lam].items() if c
     )
     checks["monomial_route"] = via_m == s.scale(shape_sign(lam))
 
@@ -160,11 +164,10 @@ def schur_alt_routes(lam) -> list:
     checks["e_leading_route"] = lead_ok and perp_ok
 
     # route 3: (-1)^T(mu) e_mu = sum_lam (-1)^(l(w_lam)+|lam|) K[lam^T][mu] s_lam
-    mu, col = lam, parts.index(lam)
-    lhs = oddring.e_elt(mu).scale((-1) ** (triangular_sum(mu) % 2))
+    lhs = oddring.e_elt(lam).scale((-1) ** (triangular_sum(lam) % 2))
     rhs = linear_combination(
         ((-1) ** ((sw_ne_pairs(rho) + n) % 2) * c, schur(rho))
-        for rho in parts if (c := K[transpose(rho)][col])
+        for rho in parts if (c := K[transpose(rho)][lam])
     )
     checks["twisted_e_route"] = lhs == rhs
 
@@ -172,7 +175,7 @@ def schur_alt_routes(lam) -> list:
     lhs4 = s.scale((-1) ** ((sw + triangular_sum(lt)) % 2))
     rhs4 = linear_combination(
         ((-1) ** (triangular_sum(mu) % 2) * c, forgotten(mu))
-        for mu, c in zip(parts, K[lt]) if c
+        for mu, c in K[lt].items() if c
     )
     checks["twisted_f_route"] = lhs4 == rhs4
 

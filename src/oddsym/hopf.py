@@ -228,7 +228,8 @@ def adjointness_check(n: int) -> list:
 
 def primitives(n: int) -> tuple[OddElt, ...]:
     """Integer basis of the primitive subspace in degree n, computed as the
-    perpendicular of the span of all products of positive-degree elements.
+    perpendicular of the span of all products of positive-degree elements:
+    row y of the constraints holds (y, h_mu) for each partition mu of n.
 
     That span is spanned by the h_k h_mu with 1 <= k < n and mu a partition
     of n - k, since h_lam h_mu = h_lam1 (h_(lam2, ...) h_mu) and the h_nu
@@ -238,20 +239,12 @@ def primitives(n: int) -> tuple[OddElt, ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     parts = partitions_of(n)
-    span_rows = [
-        [h_elt((k,) + mu).coefficient(p) for p in parts]
-        for k in range(1, n)
-        for mu in partitions_of(n - k)
-    ]
-    gram = oddring._gram_rows(n)
+    products = (h_elt((k,) + nu) for k in range(1, n) for nu in partitions_of(n - k))
+    hs = [h_elt(mu) for mu in parts]
     # With no products (n = 1) every vector is primitive: a zero row keeps
     # the kernel the whole space.
-    constraint = [
-        [sum(c * gram[p][mu] for c, p in zip(row, parts)) for mu in parts]
-        for row in span_rows
-    ] or [[0] * len(parts)]
-    return tuple(OddElt._trusted({parts[i]: v for i, v in enumerate(vec) if v})
-                 for vec in kernel_basis(constraint))
+    constraint = [[oddring.pair(y, h) for h in hs] for y in products] or [[0] * len(parts)]
+    return tuple(OddElt._trusted(dict(zip(parts, vec))) for vec in kernel_basis(constraint))
 
 
 def is_primitive(x: OddElt) -> bool:

@@ -11,8 +11,9 @@ recursing on the last term until the left subscript reaches 1, where
 h_1 h_m = 2 h_{m+1} - h_m h_1 (m even).  Every replacement word is strictly
 lexicographically larger, so the rewriting terminates.
 
-Straightening is cross-validated against an independent route: solve
-M' c = [(h_mu, w)]_mu, with M' the partition Gram matrix (determinant +-1).
+Straightening is cross-validated against an independent route: w = sum_mu
+(h_mu, w) m_mu.  Each change-of-basis inverse (m_mu is row mu of the Gram one)
+is kept as sparse rows keyed by partition, built by _inverse_rows.
 
 The form on the quotient sums the coefficients of y against
 form.pair_h_at(p, mu, -1), the colored rule that form memoizes, to give
@@ -117,9 +118,6 @@ class OddElt:
                     out[part] = out.get(part, 0) + c1 * c2 * c
         return OddElt._trusted(out)
 
-    def degrees(self) -> set[int]:
-        return {sum(p) for p in self.terms}
-
     def coefficient(self, part) -> int:
         return self.terms.get(tuple(part), 0)
 
@@ -183,10 +181,19 @@ def _gram_rows(n: int) -> dict:
     return {lam: {mu: form.pair_h_at(lam, mu, -1) for mu in parts} for lam in parts}
 
 
+def _inverse_rows(rows: dict) -> dict:
+    """The inverse of a unimodular table rows[lam][mu], whose columns come in
+    the order of its keys, as sparse rows {lam: {mu: c}} with no zero entry."""
+    keys = list(rows)
+    inv = unimodular_inverse([list(r.values()) for r in rows.values()])
+    return {lam: {mu: c for mu, c in zip(keys, r) if c} for lam, r in zip(keys, inv)}
+
+
 @lru_cache(maxsize=None)
-def gram_h_inverse(n: int) -> tuple[tuple[int, ...], ...]:
-    rows = _gram_rows(n)
-    return tuple(map(tuple, unimodular_inverse([list(r.values()) for r in rows.values()])))
+def gram_h_inverse(n: int) -> dict:
+    """The inverse Gram matrix of degree n as partition-keyed rows: row lam
+    is m_lam, the dual vector to h_lam, in h-coordinates."""
+    return _inverse_rows(_gram_rows(n))
 
 
 def _pair_h_with(part: tuple[int, ...], y: OddElt) -> int:
@@ -200,22 +207,14 @@ def pair(x: OddElt, y: OddElt) -> int:
 
 
 def normalize_via_gram(terms) -> OddElt:
-    """Independent normal-form route: coefficients solve M' c = [(h_mu, w)]
-    for a combination of colored words, given as a dict word -> coefficient.
-    """
-    by_degree: dict[int, dict] = {}
-    for word, coeff in terms.items():
-        by_degree.setdefault(form.word_degree(word), {})[word] = coeff
-    out: dict[tuple[int, ...], int] = {}
-    for n, chunk in by_degree.items():
-        parts = partitions_of(n)
-        v = [form.pair_words_odd(form.h_word(mu), chunk) for mu in parts]
-        inv = gram_h_inverse(n)
-        for i, lam in enumerate(parts):
-            c = sum(inv[i][j] * v[j] for j in range(len(parts)))
-            if c:
-                out[lam] = out.get(lam, 0) + c
-    return OddElt(out)
+    """Independent normal-form route for a combination w of colored words,
+    given as a dict word -> coefficient: w = sum_mu (h_mu, w) m_mu, with m_mu
+    row mu of gram_h_inverse."""
+    return linear_combination(
+        (form.pair_words_odd(form.h_word(mu), terms), OddElt._trusted(m))
+        for n in {form.word_degree(w) for w in terms}
+        for mu, m in gram_h_inverse(n).items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,26 +274,19 @@ def pair_tensor(left: dict, y1: OddElt, y2: OddElt) -> int:
 
 
 @lru_cache(maxsize=None)
-def _e_change_of_basis(n: int):
-    """The partitions of n and the inverse of the matrix whose row lam is
-    e_lam in h-coordinates."""
+def _h_in_e(n: int) -> dict:
+    """Partition-keyed rows: row p is h_p in e-coordinates, the inverse of
+    the table whose row lam is e_lam in h-coordinates."""
     parts = partitions_of(n)
-    mat = [[e_elt(lam).coefficient(p) for p in parts] for lam in parts]
-    return parts, tuple(map(tuple, unimodular_inverse(mat)))
+    return _inverse_rows({lam: {p: e.coefficient(p) for p in parts}
+                          for lam, e in zip(parts, map(e_elt, parts))})
 
 
 def e_coordinates(x: OddElt) -> dict:
-    """Coordinates of x in the e-basis, keyed by partition."""
-    out: dict[tuple[int, ...], int] = {}
-    for n in x.degrees():
-        parts, inv = _e_change_of_basis(n)
-        v = [x.coefficient(p) for p in parts]
-        # x = sum_j v_j h_j, h = E^{-1} applied on coordinates: x = c^T E
-        for i, lam in enumerate(parts):
-            c = sum(v[j] * inv[j][i] for j in range(len(parts)))
-            if c:
-                out[lam] = c
-    return out
+    """Coordinates of x in the e-basis, keyed by partition: the rows p of
+    _h_in_e weighted by the coefficients of x."""
+    return linear_combination((c, OddElt._trusted(_h_in_e(sum(p))[p]))
+                              for p, c in x.terms.items()).terms
 
 
 # ---------------------------------------------------------------------------

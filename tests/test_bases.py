@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from oddsym import bases
+from oddsym import bases, oddring
 from oddsym.bases import (
     basis_matrix,
     forgotten,
@@ -26,6 +26,45 @@ from oracles import (
     basis_matrix_entry_by_enumeration,
     form_in_forgotten_basis,
 )
+
+
+def inverse_tables(n):
+    """The three partition-keyed inverse tables of degree n, each with the
+    table it inverts as rows[mu][nu]: the (h,h) Gram matrix, the h-coordinates
+    of e_mu, and the transposed Kostka matrix."""
+    parts, kostka_rows = kostka_matrix(n)
+    return {
+        "gram_h_inverse": (oddring.gram_h_inverse(n), oddring._gram_rows(n)),
+        "h_in_e": (oddring._h_in_e(n), {mu: e_elt(mu).terms for mu in parts}),
+        "schur": (bases._schur_table(n),
+                  {mu: {lam: row[j] for lam, row in zip(parts, kostka_rows)}
+                   for j, mu in enumerate(parts)}),
+    }
+
+
+def inverse_table_mismatches(n):
+    """The cells (table, lam, nu) of degree n where sum_mu inv[lam][mu] *
+    T[mu][nu] is not delta(lam, nu), and the number of cells checked."""
+    parts = partitions_of(n)
+    bad = [(name, lam, nu)
+           for name, (inv, forward) in inverse_tables(n).items()
+           for lam in parts for nu in parts
+           if sum(c * forward[mu].get(nu, 0) for mu, c in inv[lam].items()) != (lam == nu)]
+    return bad, 3 * len(parts) ** 2
+
+
+class TestInverseTables:
+    @pytest.mark.parametrize("n", range(8))
+    def test_rows_are_keyed_by_partition_without_zeros(self, n):
+        for name, (inv, _) in inverse_tables(n).items():
+            assert tuple(inv) == partitions_of(n), name
+            assert all(set(row) <= set(partitions_of(n)) and 0 not in row.values()
+                       for row in inv.values()), name
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_each_inverts_its_forward_table(self, n):
+        bad, _ = inverse_table_mismatches(n)
+        assert not bad, bad[:5]
 
 
 class TestKostka:
@@ -184,6 +223,12 @@ class TestDualBases:
                 f = {h_word(p): c for p, c in forgotten(mu).terms.items()}
                 for lam in parts:
                     assert pair_words_odd(e_word(lam), f) == (lam == mu), (lam, mu)
+
+    @pytest.mark.parametrize("maker", [monomial, forgotten, schur])
+    @pytest.mark.parametrize("index", [(1, 2), (2, 1, 0), (-1, 3)])
+    def test_non_partition_index_raises(self, maker, index):
+        with pytest.raises(ValueError):
+            maker(index)
 
     def test_power_sum_is_single_row_monomial(self):
         for n in range(1, 9):

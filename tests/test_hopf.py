@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oddsym import hopf, oddring
+from oddsym import bases, hopf, oddring
 from oddsym.cli import main
 from oddsym.combinat import partitions_of, reverse_sort_sign
 from oddsym.hopf import (
@@ -132,6 +132,25 @@ class TestRelations:
     def test_schur_actions(self, n):
         assert not schur_action_check(n)
 
+    def test_schur_action_check_names_a_wrong_vector(self, monkeypatch, capsys):
+        # s_(2,1) replaced by s_(2,1) + s_(3): both relations fail at (2,1),
+        # and nothing else in degree 3 does
+        true_schur = bases.schur
+
+        def wrong_schur(lam):
+            s = true_schur(lam)
+            return s + true_schur((3,)) if tuple(lam) == (2, 1) else s
+
+        monkeypatch.setattr(bases, "schur", wrong_schur)
+        want = [{"lambda": (2, 1), "relation": "reverse"},
+                {"lambda": (2, 1), "relation": "omega_sign_twist"}]
+        assert schur_action_check(3) == want
+        assert main(["verify", "--suite", "hopf", "--max-degree", "3",
+                     "--format", "json"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures == [{"check": "hopf/schur-action",
+                             "witness": json.loads(json.dumps(want))}]
+
     def test_eta_sign_matches_reverse_action(self):
         from oddsym.bases import schur
 
@@ -193,6 +212,17 @@ class TestPrimitives:
         failures = json.loads(lines[-1])["failures"]
         assert {"check": "primitives deg 4",
                 "witness": [{"degree": 4, "dimension": 0, "expected": 1}]} in failures
+
+    def test_primitives_check_reports_a_wrong_power_sum(self, monkeypatch, capsys):
+        # p_n + h_n is not +-p_n: the primitive of degree 2 names it
+        true_power_sum = bases.power_sum
+        monkeypatch.setattr(bases, "power_sum", lambda n: true_power_sum(n) + h_elt((n,)))
+        want = [{"degree": 2, "primitive": "h(1,1)", "power_sum": "h(1,1) +h(2)"}]
+        assert primitives_check(2) == want
+        assert main(["verify", "--suite", "primitives", "--max-degree", "2",
+                     "--format", "json"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert {"check": "primitives deg 2", "witness": want} in failures
 
     def test_primitive_coproduct(self):
         for n in range(1, 9):

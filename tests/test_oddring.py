@@ -1,8 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddsym import form
 from oddsym.bases import monomial, schur
+from oddsym.cli import main
 from oddsym.combinat import compositions_of, partitions_of, transpose
 from oddsym.form import E, H, e_word, h_word, pair_h_generic
 from oddsym.hopf import antipode, sign_twist
@@ -365,12 +369,38 @@ class TestEBasis:
                 y = e_elt(lam)
                 assert e_coordinates(y) == {lam: 1} if lam else {(): 1}
 
+    def test_mixed_degrees(self):
+        # each term reads the table of its own degree
+        x = h_elt((2, 1)) + h_elt((3, 1)).scale(2) + OddElt.one() - e_elt((2, 2)).scale(3)
+        assert e_coordinates(x) == {(): 1, (1, 1, 1): 1, (1, 1, 1, 1): 2, (2, 1): 1,
+                                    (2, 2): -3, (3, 1): 2}
+
 
 class TestSemiOrthogonality:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_check_passes(self, n):
         failures = semiorthogonality_check(n)
         assert not failures, failures[:3]
+
+    def test_check_names_a_wrong_pairing(self, monkeypatch, capsys):
+        # (h_21, e_21) negated and (h_21, e_3) made 1: one diagonal and one
+        # vanishing witness in degree 3, and nothing else
+        true_pair = form.pair_words_odd
+
+        def wrong_pair(y, x):
+            value = true_pair(y, x)
+            if y == h_word((2, 1)) and x == e_word((2, 1)):
+                return -value
+            return 1 if y == h_word((2, 1)) and x == e_word((3,)) else value
+
+        monkeypatch.setattr(form, "pair_words_odd", wrong_pair)
+        want = [{"lambda": (2, 1), "kind": "diagonal", "got": 1, "want": -1},
+                {"lambda": (2, 1), "alpha": (3,), "kind": "vanishing", "he": 1, "eh": 0}]
+        assert semiorthogonality_check(3) == want
+        assert main(["verify", "--suite", "semiorth", "--max-degree", "3",
+                     "--format", "json"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures == [{"check": "semiorth deg 3", "witness": json.loads(json.dumps(want))}]
 
     def test_diagonal_values(self):
         from oddsym.form import pair_words_odd
