@@ -108,8 +108,6 @@ def schur(lam) -> OddElt:
 
 def power_sum(n: int) -> OddElt:
     """The n-th odd power sum, the dual vector to h_n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return monomial((n,))
 
 

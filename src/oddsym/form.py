@@ -16,7 +16,7 @@ _pair_colored; _pair_h serves generic q and the other integers.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, pairwise, permutations
 
 from .combinat import compositions_of, inversions, row_fillings, triangular
 from .polyq import QPoly
@@ -174,24 +174,11 @@ def descent_composition(sigma) -> tuple[int, ...]:
 
 
 def coarsenings(alpha) -> list[tuple[int, ...]]:
-    """All compositions obtained by merging adjacent parts of alpha."""
+    """All compositions obtained by merging adjacent parts of alpha, one for
+    each composition of len(alpha), read as the sizes of the merged blocks."""
     alpha = tuple(alpha)
-    out = []
-
-    def rec(i: int, acc: list[int]):
-        if i == len(alpha):
-            out.append(tuple(acc))
-            return
-        acc.append(alpha[i])
-        rec(i + 1, acc)
-        acc.pop()
-        if acc:
-            acc[-1] += alpha[i]
-            rec(i + 1, acc)
-            acc[-1] -= alpha[i]
-
-    rec(0, [])
-    return out
+    return [tuple(sum(alpha[i:j]) for i, j in pairwise(accumulate(c, initial=0)))
+            for c in compositions_of(len(alpha))]
 
 
 def htilde_expansion(alpha) -> dict:

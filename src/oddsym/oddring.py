@@ -32,11 +32,8 @@ from .combinat import compositions_of, is_partition, partitions_of, sw_ne_pairs,
 from .polyq import unimodular_inverse
 
 
-@lru_cache(maxsize=None)
 def _ascent_expansion(a: int, b: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """h_a h_b (a < b) as a combination of lex-larger words."""
-    if a >= b:
-        raise ValueError("not an ascent")
     if (a + b) % 2 == 0:
         return ((1, (b, a)),)
     if a == 1:

@@ -234,6 +234,11 @@ class TestDualBases:
         for n in range(1, 9):
             assert power_sum(n) == monomial((n,))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_power_sum_of_a_non_positive_degree_raises(self, n):
+        with pytest.raises(ValueError):
+            power_sum(n)
+
     def test_forgotten_single_row_sign(self):
         # f_n = +- m_n with sign = coefficient of h_n in e_n; true for n <= 6
         # and n = 8 but false at n = 7, where that coefficient is 5 and the

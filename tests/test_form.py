@@ -491,6 +491,18 @@ class TestDescentMachinery:
         for alpha in compositions_of(5):
             assert len(coarsenings(alpha)) == 2 ** (len(alpha) - 1)
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_coarsenings_are_the_coarser_compositions(self, n):
+        # beta is coarser than alpha iff its partial sums are among alpha's
+        def cuts(c):
+            return {sum(c[:i]) for i in range(len(c) + 1)}
+
+        for alpha in compositions_of(n):
+            got = coarsenings(alpha)
+            assert len(got) == len(set(got)), alpha
+            assert set(got) == {beta for beta in compositions_of(n)
+                                if cuts(beta) <= cuts(alpha)}, alpha
+
     def test_htilde_expansion(self):
         assert htilde_expansion((3, 1)) == {(3, 1): 1, (4,): -1}
         assert htilde_expansion((1, 1)) == {(1, 1): 1, (2,): -1}

@@ -108,11 +108,42 @@ class TestAntipode:
         failures = antipode_images_check(n)
         assert not failures, failures[:3]
 
+    def test_checks_name_a_wrong_antipode(self, monkeypatch, capsys):
+        # S(h_2) - 2 h_(1,1): both convolutions of h_2 leave -2 h_(1,1), and
+        # the closed form of S(h_2) fails; h_(1,1) keeps its image
+        true_antipode = hopf.antipode
+        monkeypatch.setattr(hopf, "antipode", lambda x: true_antipode(x)
+                            + h_elt((1, 1)).scale(-2 * x.terms.get((2,), 0)))
+        axiom = [{"lambda": (2,), "left": "-2*h(1,1)", "right": "-2*h(1,1)"}]
+        images = [{"lambda": (2,), "relation": "antipode_h"}]
+        assert antipode_axiom_check(2) == axiom
+        assert antipode_images_check(2) == images
+        assert main(["verify", "--suite", "hopf", "--max-degree", "2",
+                     "--format", "json"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        for check, witness in (("hopf/antipode-axiom deg 2", axiom), ("hopf/images", images)):
+            assert {"check": check, "witness": json.loads(json.dumps(witness))} in failures
+
 
 class TestRelations:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_group_relations(self, n):
         assert not group_relations_check(n)
+
+    def test_group_relations_check_names_an_unsigned_h2(self, monkeypatch, capsys):
+        # a sign twist that keeps h_2 is still an involution, but then
+        # omega.sign_twist is omega in degree 2, which has infinite order: its
+        # square and the braid fail
+        true_sign_twist = hopf.sign_twist
+        monkeypatch.setattr(hopf, "sign_twist", lambda x: true_sign_twist(x)
+                            + h_elt((2,)).scale(2 * x.terms.get((2,), 0)))
+        want = [{"lambda": (2,), "failed": ["omega_sign_twist_squared", "braid"]}]
+        assert group_relations_check(2) == want
+        assert main(["verify", "--suite", "hopf", "--max-degree", "2",
+                     "--format", "json"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert {"check": "hopf/group-relations",
+                "witness": json.loads(json.dumps(want))} in failures
 
     def test_specific_relations(self):
         h3 = h_elt((3,))
@@ -273,6 +304,14 @@ class TestCentrality:
             {"k": 3, "bound": 3, "commutators": "all zero"}
         ]
         assert centrality_check(2, 2) == []
+
+    @pytest.mark.parametrize("suite", ["primitives", "all"])
+    def test_verify_passes_at_degree_2(self, suite, capsys):
+        # p_1 = h_1 commutes with h_1, the only h_m in range, so degree 2
+        # checks no centrality of p_1
+        assert main(["verify", "--suite", suite, "--max-degree", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "primitives/centrality p_1" not in out
 
     def test_explicit_witness(self):
         from oddsym.bases import power_sum
