@@ -1,5 +1,5 @@
-"""Monomial, forgotten and Schur bases, signed Kostka numbers, and the
-change-of-basis matrices between the h/e families and their duals.
+"""Monomial, forgotten and Schur bases, strip-pass signed Kostka numbers, and
+the change-of-basis matrices between the h/e families and their duals.
 
 The (e,h), (h,h) and (e,e) tables are values of the q = -1 form, read off
 the memoized colored pairing in form.py.  Their signed margin-matrix counts
@@ -13,8 +13,8 @@ from . import form, oddring
 from .combinat import (
     is_partition,
     partitions_of,
+    row_fillings,
     shape_sign,
-    ssyt,
     superstandard,
     sw_ne_pairs,
     transpose,
@@ -23,17 +23,37 @@ from .combinat import (
 from .oddring import OddElt, linear_combination
 
 
+@lru_cache(maxsize=None)
+def _kostka_column(mu: tuple) -> dict:
+    """shape -> (K[shape][mu], plain SSYT count) by one strip pass, listing no
+    tableau: entry i widens row 1 by <= mu_i and row r by <= nu_(r-1) - nu_r,
+    opens a row of <= the last part of nu, and adds nu_1 + ... + nu_(r-1)
+    inversions to the row word per box in row r (the rows above read later)."""
+    states = {(): (1, 1)}
+    for part in mu:
+        grown = {}
+        for nu, (signed, plain) in states.items():
+            limits = (part, *(a - b for a, b in zip(nu, nu[1:])), *nu[-1:])
+            for m, _ in row_fillings(part, limits, limits):
+                lam = tuple(a + b for a, b in zip(nu + (0,), m) if a + b)
+                s, p = grown.get(lam, (0, 0))
+                odd = sum(b * sum(nu[:r]) for r, b in enumerate(m)) % 2
+                grown[lam] = (s - signed if odd else s + signed, p + plain)
+        states = grown
+    return {lam: (superstandard(lam).sign() * s, p) for lam, (s, p) in states.items()}
+
+
 def kostka(lam, mu) -> int:
     """Signed Kostka number: sign(T_lam) times the signed count of SSYT of
-    shape lam and content mu."""
-    total = sum(t.sign() for t in ssyt(lam, mu))
-    return superstandard(lam).sign() * total
+    shape lam and content mu, any composition, read off the strip pass."""
+    if sum(lam) != sum(mu):
+        raise ValueError("shape and content have different weights")
+    return _kostka_column(tuple(mu)).get(_partition(lam), (0, 0))[0]
 
 
-@lru_cache(maxsize=None)
 def kostka_unsigned(lam: tuple, mu: tuple) -> int:
-    """Plain SSYT count (the q = 1 Kostka number), memoized on tuples."""
-    return len(ssyt(lam, mu))
+    """The q = 1 Kostka number for a partition lam of mu's weight, by the strip pass."""
+    return _kostka_column(mu).get(lam, (0, 0))[1]
 
 
 @lru_cache(maxsize=None)
@@ -41,7 +61,8 @@ def kostka_matrix(n: int):
     """(partitions, rows): rows indexed by shape, columns by content,
     both ascending lexicographic."""
     parts = partitions_of(n)
-    rows = tuple(tuple(kostka(lam, mu) for mu in parts) for lam in parts)
+    cols = [_kostka_column(mu) for mu in parts]
+    rows = tuple(tuple(col.get(lam, (0, 0))[0] for col in cols) for lam in parts)
     return parts, rows
 
 

@@ -249,11 +249,10 @@ def row_fillings(total: int, caps: tuple[int, ...], limits: tuple[int, ...]):
 
 
 def ssyt(shape, content) -> list[Tableau]:
-    """All semistandard Young tableaux of the given shape and content.
-
-    Each entry i is placed as one horizontal strip, which widens row r by at
-    most min(shape_r, nu_(r-1)) - nu_r, nu the shape filled so far.  Output
-    order is strip order: lexicographic in the row widths of each strip.
+    """All semistandard Young tableaux of the given shape and content, the
+    test oracle for the Kostka strip pass of bases.  Entry i is one horizontal
+    strip, widening row r by at most min(shape_r, nu_(r-1)) - nu_r, nu the
+    shape filled so far; output is lexicographic in each strip's row widths.
     """
     shape, content = tuple(shape), tuple(content)
     if sum(shape) != sum(content):

@@ -13,6 +13,8 @@ from oddsym.combinat import (
     matrices_with_margins,
     matrix_sign,
     partitions_of,
+    ssyt,
+    superstandard,
     triangular,
 )
 from oddsym.form import E, _pair_h, e_expansion, htilde_expansion
@@ -42,6 +44,14 @@ def basis_matrix_entry_by_enumeration(kind: str, lam, mu) -> int:
     if kind == "ee":
         return sum(matrix_sign(m) * cable_sign(m) for m in mats)
     return sum(matrix_sign(m) for m in mats)
+
+
+def kostka_by_enumeration(lam, mu) -> tuple[int, int]:
+    """The signed and plain Kostka numbers of shape lam and content mu from
+    the list of every SSYT: sign(T_lam) times the sum of the tableau signs,
+    and the number of tableaux."""
+    tableaux = ssyt(lam, mu)
+    return superstandard(lam).sign() * sum(t.sign() for t in tableaux), len(tableaux)
 
 
 def pair_htilde_inclusion_exclusion(beta, alpha) -> QPoly:

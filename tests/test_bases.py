@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from math import prod
 
 import pytest
@@ -25,6 +26,7 @@ from oddsym.polyq import det_exact
 from oracles import (
     basis_matrix_entry_by_enumeration,
     form_in_forgotten_basis,
+    kostka_by_enumeration,
 )
 
 
@@ -51,6 +53,16 @@ def inverse_table_mismatches(n):
            for lam in parts for nu in parts
            if sum(c * forward[mu].get(nu, 0) for mu, c in inv[lam].items()) != (lam == nu)]
     return bad, 3 * len(parts) ** 2
+
+
+def kostka_mismatches(contents):
+    """The (lam, mu) whose signed or plain Kostka number from the strip pass
+    differs from SSYT enumeration, over every shape lam of the weight of each
+    content mu, and the number of pairs checked."""
+    pairs = [(lam, mu) for mu in contents for lam in partitions_of(sum(mu))]
+    bad = [(lam, mu) for lam, mu in pairs
+           if (kostka(lam, mu), kostka_unsigned(lam, mu)) != kostka_by_enumeration(lam, mu)]
+    return bad, len(pairs)
 
 
 class TestInverseTables:
@@ -83,8 +95,33 @@ class TestKostka:
                 assert kostka((1,) * n, mu) == want
 
     def test_weight_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shape and content have different weights"):
             kostka((2,), (1, 1, 1))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_strip_pass_equals_enumeration(self, n):
+        bad, _ = kostka_mismatches(partitions_of(n))
+        assert not bad, bad[:5]
+
+    def test_strip_pass_equals_enumeration_on_compositions(self):
+        # every content of weight <= 5 with at most weight + 1 entries, zeros
+        # anywhere and parts in any order
+        contents = [c for n in range(6) for length in range(n + 2)
+                    for c in product(range(n + 1), repeat=length) if sum(c) == n]
+        bad, count = kostka_mismatches(contents)
+        assert count > 2000 and not bad, bad[:5]
+
+    def test_edge_contract(self):
+        # the content need not be a partition: zeros and any order are read
+        # entry by entry, and the arguments may be lists
+        assert kostka((2, 1), (1, 2)) == -1
+        assert kostka((2, 1), (2, 1, 0)) == 1
+        assert kostka((), ()) == 1
+        assert kostka([2, 1], [1, 1, 1]) == 0
+        with pytest.raises(ValueError, match=r"^not a partition: \(1, 2\)$"):
+            kostka((1, 2), (2, 1))
+        with pytest.raises(ValueError, match=r"^not a partition: \(2, 1, 0\)$"):
+            kostka((2, 1, 0), (1, 1, 1))
 
     def test_lex_unitriangular(self):
         for n in range(1, 8):

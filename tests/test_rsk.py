@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddsym
-from oddsym.bases import kostka, kostka_unsigned
+from oddsym.bases import kostka_unsigned
 from oddsym.combinat import (
     Tableau,
     matrices_with_margins,
@@ -26,7 +26,12 @@ from oddsym.rsk import (
     rsk_verify_degree,
     sign_theorem_check,
 )
-from oracles import knuth_neighbors, odd_rsk_per_matrix, two_line_array
+from oracles import (
+    knuth_neighbors,
+    kostka_by_enumeration,
+    odd_rsk_per_matrix,
+    two_line_array,
+)
 
 
 def test_package_attribute_is_the_module():
@@ -235,11 +240,12 @@ class TestOddRskTheorem:
         assert sign_theorem_check(n) == []
 
     def test_kostka_identity_matches_kostka(self):
-        # the identity reads the memoized Kostka table; kostka() enumerates
-        # the tableaux afresh
+        # the identity reads the memoized strip-pass Kostka table; the oracle
+        # enumerates the tableaux afresh
         for mu in partitions_of(4):
             for rho in partitions_of(4):
-                want = sum(shape_sign(lam) * kostka(lam, mu) * kostka(lam, rho)
+                want = sum(shape_sign(lam) * kostka_by_enumeration(lam, mu)[0]
+                           * kostka_by_enumeration(lam, rho)[0]
                            for lam in partitions_of(4))
                 assert odd_rsk_check(mu, rho)["kostka_identity"] == want
 
