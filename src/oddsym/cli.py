@@ -465,11 +465,18 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argparse errors exit 2 with one stderr line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every call of main reads the same one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddsym",
         description="Exact computations in the ring of odd symmetric functions.",
     )

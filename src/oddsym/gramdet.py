@@ -6,9 +6,9 @@ Compositions label rows and columns in the appendix layout, grouped by their
 underlying partition.  Rows and columns move together, so the determinant
 and the ranks do not depend on the order; the determinant is normalized to
 a positive leading coefficient.  The generic determinant is the product of
-the determinants of two reversal blocks, each taken by evaluation and
-interpolation modulo the first prime of polyq.DET_PRIMES that its proven
-coefficient bound allows.
+the determinants of two reversal blocks, each made symmetric and taken by
+evaluation and interpolation modulo the first prime of polyq.DET_PRIMES that
+its proven coefficient bound allows.
 """
 
 import json
@@ -82,15 +82,21 @@ def gram_det(n: int) -> QPoly:
     G+ and G- of reversal_blocks, and det G = det G+ * det G-
     (Fassler-Stiefel, block diagonalization by symmetry).
 
-    Each block determinant comes from evaluation and interpolation modulo a
-    prime chosen by its own proven bound (polyq.det_by_interpolation); the
-    product's value at q = 2 is checked against the integer Bareiss
-    determinant of the full matrix specialized at q = 2.
+    G- is symmetric, and so is G+ with its palindromic columns doubled, so
+    both take the symmetric route of polyq.det_by_interpolation.  A doubled
+    determinant not divisible by 2^(number of palindromes), or a product
+    whose value at q = 2 is not the Bareiss det G(2), raises ArithmeticError.
     """
     if n > GENERIC_DET_BOUND:
         raise ValueError(f"degree bound {GENERIC_DET_BOUND} exceeded")
     plus, minus = reversal_blocks(n)
-    det = det_by_interpolation(plus) * det_by_interpolation(minus)
+    reps = [a for a in composition_labels(n) if a <= a[::-1]]
+    doubled = det_by_interpolation([[e + e if a == a[::-1] else e for e, a in zip(row, reps)]
+                                    for row in plus]).coeffs
+    scale = 2 ** (len(plus) - len(minus))
+    if any(c % scale for c in doubled):
+        raise ArithmeticError(f"degree-{n} G+ determinant is not divisible by {scale}")
+    det = QPoly([c // scale for c in doubled]) * det_by_interpolation(minus)
     _, at_two = gram_matrix(n, q=2)
     if det.evaluate(2) != det_exact(at_two):
         raise ArithmeticError(f"degree-{n} determinant fails the q = 2 check")

@@ -4,11 +4,11 @@ QPoly is a dense, canonical (no trailing zeros) coefficient list over
 arbitrary-precision ints; its arithmetic takes QPoly operands only.  One
 fraction-free (Bareiss) elimination over integer matrices gives det_exact and
 rank_exact forward only, and unimodular_inverse and kernel_basis (primitive
-integer vectors) from its reduced form.  The only other elimination is mod p,
+integer vectors) from its reduced form.  The other eliminations are mod p,
 inside det_by_interpolation: the determinant of a QPoly matrix with no
-polynomial products, from its values at 0, 1, ..., D modulo the first prime
-of DET_PRIMES above twice a proven coefficient bound, interpolated and lifted
-to the balanced residues.
+polynomial products, from its values at 0, 1, ..., D (on the upper triangle
+when symmetric) modulo the first prime of DET_PRIMES above twice a proven
+coefficient bound, interpolated and lifted to the balanced residues.
 """
 
 from math import gcd, isqrt
@@ -218,12 +218,12 @@ def _fraction_free(matrix, reduced=False):
     return m, pivots, sign, prev
 
 
-# The primes of det_by_interpolation, tried in order: the Curve25519 field
-# prime and the Mersenne prime 2^521 - 1.  The first exceeds 2B + 1 for both
-# reversal blocks of the composition Gram matrix up to degree 6 and for the
-# odd block at degree 7 (B < 2^183); the even block at degree 7 (B < 2^359)
-# takes the second.
-DET_PRIMES = (2**255 - 19, 2**521 - 1)
+# The primes of det_by_interpolation, smallest (cheapest per point) first.  Of
+# the blocks of gramdet.gram_det (G+ with doubled palindromic columns), 2^61 - 1
+# serves all below degree 5 and G- at degree 6, 2^127 - 1 G+ at degree 5, the
+# NIST P-192 prime G+ at degree 6 (B < 2^162) and G- at degree 7 (B < 2^183),
+# and 2^521 - 1 G+ at degree 7 (B < 2^368).
+DET_PRIMES = (2**61 - 1, 2**127 - 1, 2**192 - 2**64 - 1, 2**255 - 19, 2**521 - 1)
 
 
 def det_bounds(matrix) -> tuple[int, int]:
@@ -266,9 +266,10 @@ def det_by_interpolation(matrix) -> QPoly:
 
     With (D, B) from det_bounds and p = det_prime(D, B), the matrix is
     evaluated at x = 0, 1, ..., D modulo p, one point at a time, and each
-    determinant is taken by Gaussian elimination mod p.  Newton interpolation
-    gives det A mod p; since every coefficient lies in [-B, B], the balanced
-    residues are the coefficients themselves.
+    determinant is taken mod p on the upper triangle if A is symmetric, or by
+    Gaussian elimination if not or if a diagonal pivot vanishes.  Newton
+    interpolation gives det A mod p; since every coefficient lies in [-B, B],
+    the balanced residues are the coefficients themselves.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -281,10 +282,13 @@ def det_by_interpolation(matrix) -> QPoly:
     index = {}
     layout = [[index.setdefault(e, len(index)) for e in row] for row in matrix]
     entries = list(index)
+    upper = [row[k:] for k, row in enumerate(layout)]
+    symmetric = upper == [list(col[k:]) for k, col in enumerate(zip(*layout))]
     values = []
     for x in range(degree + 1):
         at = [e.evaluate(x) % p for e in entries]
-        values.append(_det_mod([[at[i] for i in row] for row in layout], p))
+        value = symmetric and _det_sym_mod([[at[i] for i in row] for row in upper], p)
+        values.append(value or _det_mod([[at[i] for i in row] for row in layout], p))
     half = p // 2
     return QPoly([c - p if c > half else c for c in _interpolate(values, p)])
 
@@ -316,6 +320,24 @@ def _det_mod(m, p: int) -> int:
                 row = m[i]
                 row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], pivot_tail)]
     return det % p
+
+
+def _det_sym_mod(upper, p: int) -> int | None:
+    """Determinant mod p of a symmetric integer matrix from its upper rows
+    upper[k] = [a_kk, ..., a_k(n-1)], destroying them, by elimination without
+    pivoting (LDL^T) on and right of the diagonal only, reduced lazily as in
+    _det_mod; None when a diagonal pivot vanishes mod p."""
+    det = 1
+    for k, row in enumerate(upper):
+        d, *tail = [x % p for x in row]
+        if not d:
+            return None
+        det = det * d % p
+        inv = pow(d, -1, p)
+        pivot_tail = [x * inv % p for x in tail]
+        for i, f in enumerate(tail, k + 1):
+            upper[i] = [a - f * b for a, b in zip(upper[i], pivot_tail[i - k - 1:])]
+    return det
 
 
 def _interpolate(values, p: int) -> list[int]:

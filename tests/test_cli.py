@@ -16,6 +16,15 @@ from oddsym.cli import (
     parse_q,
 )
 
+# Inputs that exit 2: an argparse error, a malformed word, a format the
+# subcommand does not render, and a bound.
+USAGE_ERRORS = [
+    ["pair", "--basis", "x", "--left", "2", "--right", "2"],
+    ["pair", "--left", "2,x", "--right", "1"],
+    ["rsk", "--verify", "2", "--format", "csv"],
+    ["gram", "--degree", "0", "--basis", "partitions"],
+]
+
 
 def random_composition(rng, n):
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
@@ -483,12 +492,7 @@ class TestExitCodes:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("bad", [
-        ["pair", "--basis", "x", "--left", "2", "--right", "2"],
-        ["pair", "--left", "2,x", "--right", "1"],
-        ["rsk", "--verify", "2", "--format", "csv"],
-        ["gram", "--degree", "0", "--basis", "partitions"],
-    ])
+    @pytest.mark.parametrize("bad", USAGE_ERRORS)
     def test_usage_error_leaves_the_next_call_unchanged(self, capsys, bad):
         valid = ["pair", "--basis", "e", "--left", "2,1", "--right", "1,2",
                  "--q", "-1", "--format", "json"]
@@ -501,6 +505,23 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(valid) == 0
         assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize("bad", [*USAGE_ERRORS, ["det"],
+                                     ["det", "--degree", "3", "--format", "csv"]])
+    def test_usage_error_is_one_stderr_line(self, capsys, bad):
+        # argparse errors too: no usage line before the message
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["det", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: oddsym")
 
     @pytest.mark.parametrize(
         "matrix", ["[[1.5,0]]", '[["a"]]', "[[1],[0,1]]", "[[true]]", "[[-1]]",

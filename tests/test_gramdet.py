@@ -127,6 +127,17 @@ class TestDeterminant:
         with pytest.raises(ArithmeticError):
             gram_det.__wrapped__(3)
 
+    @pytest.mark.parametrize("scale, message", [(1, "not divisible by 4"),
+                                                (4, "fails the q = 2 check")])
+    def test_wrong_block_determinants_are_rejected(self, monkeypatch, scale, message):
+        # degree 3 has two palindromes: the doubled G+ (3 x 3) determinant is
+        # divided by 4, and G- is 1 x 1
+        wrong = gram_det(3) + QPoly((0, 0, 1))
+        monkeypatch.setattr(gramdet, "det_by_interpolation", lambda rows: (
+            QPoly((scale,)) * wrong if len(rows) == 3 else QPoly((1,))))
+        with pytest.raises(ArithmeticError, match=message):
+            gram_det.__wrapped__(3)
+
 
 class TestReversalBlocks:
     """The reversal symmetry behind gram_det and its block factorization."""

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from oddsym.polyq import (
     DET_PRIMES,
     QPoly,
+    _det_mod,
+    _det_sym_mod,
     det_bounds,
     det_by_interpolation,
     det_exact,
@@ -45,6 +47,38 @@ def det_cofactor(matrix):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def symmetric_blocks(n):
+    """The blocks gram_det eliminates: G+ with its palindromic columns
+    doubled, and G-."""
+    from oddsym.gramdet import composition_labels, reversal_blocks
+
+    plus, minus = reversal_blocks(n)
+    reps = [a for a in composition_labels(n) if a <= a[::-1]]
+    return [[e + e if a == a[::-1] else e for e, a in zip(row, reps)]
+            for row in plus], minus
+
+
+def elimination_mismatches(n):
+    """(bad, points, fallbacks) over both symmetric blocks of degree n, each
+    at every point x = 0..D modulo the prime det_by_interpolation takes for
+    it: the (block, x) where symmetric elimination and _det_mod differ, the
+    number of points, and the number where a diagonal pivot vanished (the
+    symmetric route answers None, and det_by_interpolation falls back)."""
+    bad, points, fallbacks = [], 0, 0
+    for name, block in zip(("G+", "G-"), symmetric_blocks(n)):
+        assert block == [list(col) for col in zip(*block)], (n, name)
+        degree, bound = det_bounds(block)
+        p = det_prime(degree, bound)
+        for x in range(degree + 1):
+            at = [[e.evaluate(x) % p for e in row] for row in block]
+            got = _det_sym_mod([row[k:] for k, row in enumerate(at)], p)
+            points += 1
+            fallbacks += got is None
+            if got is not None and got != _det_mod(at, p):
+                bad.append((name, x))
+    return bad, points, fallbacks
 
 
 def is_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
@@ -199,8 +233,21 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             det_by_interpolation([[QPoly((2**521,))]])
 
+    def test_negative_coefficients_at_the_smallest_prime(self):
+        # B = 2^60 - 2 is the largest bound with 2^61 - 1 > 2B + 1; the
+        # antidiagonal matrix reaches it through the fallback (zero pivot)
+        for m in ([[QPoly((-(2**60 - 2),))]],
+                  [[QPoly(), QPoly((2**30 - 1,))], [QPoly((2**30 - 1,)), QPoly()]]):
+            degree, bound = det_bounds(m)
+            assert det_prime(degree, bound) == 2**61 - 1
+            assert det_by_interpolation(m) == QPoly((-bound,))
+        m = [[QPoly((-(2**60 - 1),))]]
+        assert det_prime(*det_bounds(m)) == 2**127 - 1
+        assert det_by_interpolation(m) == QPoly((-(2**60 - 1),))
+
     def test_prime_chosen_by_bound(self):
-        assert DET_PRIMES == (2**255 - 19, 2**521 - 1)
+        assert DET_PRIMES == (2**61 - 1, 2**127 - 1, 2**192 - 2**64 - 1,
+                              2**255 - 19, 2**521 - 1)
         assert det_prime(*det_bounds([[QPoly((2**253,))]])) == 2**255 - 19
         # B >= 2^254 breaks p > 2B + 1 for the first prime
         m = [[QPoly((-(2**254),))]]
@@ -210,6 +257,14 @@ class TestInterpolation:
         assert det_prime(2**255 - 19, 1) == 2**521 - 1
         with pytest.raises(ValueError):
             det_prime(2**521, 1)
+
+    def test_prime_of_each_gram_block(self):
+        # (doubled G+, G-) per degree
+        p61, p127, p192, _, p521 = DET_PRIMES
+        want = {2: (p61, p61), 3: (p61, p61), 4: (p61, p61), 5: (p127, p61),
+                6: (p192, p61), 7: (p521, p192)}
+        for n, primes in want.items():
+            assert tuple(det_prime(*det_bounds(b)) for b in symmetric_blocks(n)) == primes, n
 
     def test_prime_is_prime(self):
         for p in DET_PRIMES:
@@ -226,6 +281,43 @@ class TestInterpolation:
         det = gram_det(n)
         assert degree == det_degree_formula(n) == det.degree()
         assert bound > max(abs(c) for c in det.coeffs)
+
+
+class TestSymmetricElimination:
+    """The upper-triangle elimination of det_by_interpolation against
+    _det_mod, and the fallback at a vanishing diagonal pivot."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_equals_general_elimination_on_the_gram_blocks(self, n):
+        bad, points, fallbacks = elimination_mismatches(n)
+        assert bad == []
+        assert 0 < fallbacks < points
+
+    def test_vanishing_pivot_falls_back(self):
+        p = DET_PRIMES[0]
+        assert _det_sym_mod([[0, 1], [0]], p) is None
+        assert _det_sym_mod([[p, 1], [5]], p) is None
+        assert _det_sym_mod([[1, 1], [1]], p) is None  # the second pivot
+        assert det_by_interpolation([[QPoly(), ONE], [ONE, QPoly()]]) == QPoly((-1,))
+        assert det_by_interpolation([[ONE, ONE], [ONE, ONE]]) == QPoly()
+        # the first pivot vanishes at q = 0 only
+        assert det_by_interpolation([[Q, ONE], [ONE, Q]]) == Q * Q - ONE
+
+    def test_route_follows_symmetry(self, monkeypatch):
+        from oddsym import polyq
+
+        calls = []
+
+        def recording(upper, p):
+            calls.append(len(upper))
+            return _det_sym_mod(upper, p)
+
+        monkeypatch.setattr(polyq, "_det_sym_mod", recording)
+        two = QPoly((2,))
+        assert det_by_interpolation([[ONE + Q, ONE], [two, ONE]]) == Q - ONE
+        assert calls == []
+        assert det_by_interpolation([[ONE + Q, two], [two, ONE]]) == Q - QPoly((3,))
+        assert calls == [2, 2]
 
 
 class TestUnimodular:
