@@ -102,10 +102,13 @@ def pair_h_generic(beta, alpha) -> QPoly:
 
 
 def pair_h_at(beta, alpha, q: int) -> int:
-    """(h_beta, h_alpha) at an integer q; at q = -1 the colored rule."""
+    """(h_beta, h_alpha) at an integer q; at q = -1 the colored rule.
+    ValueError for any other q whose type is not int (bool included)."""
     beta, alpha = _h_words(beta, alpha)
     if q == -1:
         return _pair_colored(beta, alpha) if sum(beta) == sum(alpha) else 0
+    if type(q) is not int:
+        raise ValueError(f"q must be an integer, not {q!r}")
     return sum(c * q**e for e, c in _pair_h(beta, alpha))
 
 

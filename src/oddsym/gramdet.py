@@ -43,7 +43,7 @@ def gram_matrix(n: int, q="generic", basis: str = "compositions"):
     if q == "generic":
         rows = [[pair_h_generic(b, a) for a in labels] for b in labels]
     else:
-        rows = [[pair_h_at(b, a, int(q)) for a in labels] for b in labels]
+        rows = [[pair_h_at(b, a, q) for a in labels] for b in labels]
     return labels, rows
 
 

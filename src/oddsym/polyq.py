@@ -4,11 +4,12 @@ QPoly is a dense, canonical (no trailing zeros) coefficient list over
 arbitrary-precision ints; its arithmetic takes QPoly operands only.  One
 fraction-free (Bareiss) elimination over integer matrices gives det_exact and
 rank_exact forward only, and unimodular_inverse and kernel_basis (primitive
-integer vectors) from its reduced form.  The other eliminations are mod p,
-inside det_by_interpolation: the determinant of a QPoly matrix with no
-polynomial products, from its values at 0, 1, ..., D (on the upper triangle
-when symmetric) modulo the first prime of DET_PRIMES above twice a proven
-coefficient bound, interpolated and lifted to the balanced residues.
+integer vectors) from its reduced form.  The one elimination mod p, LDL^T
+on the upper triangle, serves det_by_interpolation: the determinant of a
+QPoly matrix with no polynomial products, from its values at 0, 1, ..., D
+modulo the first prime of DET_PRIMES above twice a proven coefficient bound,
+interpolated and lifted to the balanced residues; a point LDL^T cannot take
+(not symmetric, or a vanishing pivot) takes det_exact of the residues.
 """
 
 from math import gcd, isqrt
@@ -265,11 +266,11 @@ def det_by_interpolation(matrix) -> QPoly:
     polynomial products.
 
     With (D, B) from det_bounds and p = det_prime(D, B), the matrix is
-    evaluated at x = 0, 1, ..., D modulo p, one point at a time, and each
-    determinant is taken mod p on the upper triangle if A is symmetric, or by
-    Gaussian elimination if not or if a diagonal pivot vanishes.  Newton
-    interpolation gives det A mod p; since every coefficient lies in [-B, B],
-    the balanced residues are the coefficients themselves.
+    evaluated at x = 0, 1, ..., D modulo p, one point at a time.  Each
+    determinant is taken mod p on the upper triangle if A is symmetric, and
+    is det_exact of the residues if not or if a diagonal pivot vanishes.
+    Newton interpolation gives det A mod p; since every coefficient lies in
+    [-B, B], the balanced residues are the coefficients themselves.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -288,45 +289,17 @@ def det_by_interpolation(matrix) -> QPoly:
     for x in range(degree + 1):
         at = [e.evaluate(x) % p for e in entries]
         value = symmetric and _det_sym_mod([[at[i] for i in row] for row in upper], p)
-        values.append(value or _det_mod([[at[i] for i in row] for row in layout], p))
+        values.append(value or det_exact([[at[i] for i in row] for row in layout]) % p)
     half = p // 2
     return QPoly([c - p if c > half else c for c in _interpolate(values, p)])
-
-
-def _det_mod(m, p: int) -> int:
-    """Determinant mod p of an integer matrix, destroying it.
-
-    Reduction is lazy: the pivot row and the multipliers are reduced mod p,
-    so each update a - f*b adds less than p^2 to an entry, and the trailing
-    block is left unreduced.
-    """
-    n = len(m)
-    det = 1
-    for k in range(n):
-        col = [m[i][k] % p for i in range(k, n)]
-        piv = next((i for i, v in enumerate(col) if v), None)
-        if piv is None:
-            return 0
-        if piv:
-            m[k], m[k + piv] = m[k + piv], m[k]
-            col[0], col[piv] = col[piv], col[0]
-            det = -det
-        det = det * col[0] % p
-        inv = pow(col[0], -1, p)
-        pivot_tail = [x * inv % p for x in m[k][k + 1:]]
-        for i in range(k + 1, n):
-            f = col[i - k]
-            if f:
-                row = m[i]
-                row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], pivot_tail)]
-    return det % p
 
 
 def _det_sym_mod(upper, p: int) -> int | None:
     """Determinant mod p of a symmetric integer matrix from its upper rows
     upper[k] = [a_kk, ..., a_k(n-1)], destroying them, by elimination without
-    pivoting (LDL^T) on and right of the diagonal only, reduced lazily as in
-    _det_mod; None when a diagonal pivot vanishes mod p."""
+    pivoting (LDL^T) on and right of the diagonal only; None when a diagonal
+    pivot vanishes mod p.  Reduction is lazy: a row is reduced when it is the
+    pivot row, so each update a - f*b adds less than p^2 to an entry."""
     det = 1
     for k, row in enumerate(upper):
         d, *tail = [x % p for x in row]

@@ -1,13 +1,15 @@
-"""Brute-force second routes to the pairing values, kept as test oracles.
+"""Brute-force second routes to the library's numbers, kept as test oracles.
 
-The library computes each pairing one way; the routes here compute the same
-numbers independently so the tests can compare them entry by entry.
+The library computes each pairing, determinant and table one way; the routes
+here compute the same numbers independently so the tests can compare them
+entry by entry.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from oddsym import oddring
-from oddsym.bases import basis_matrix, forgotten
+from oddsym.bases import basis_matrix, forgotten, kostka_unsigned
 from oddsym.combinat import (
     is_partition,
     matrices_with_margins,
@@ -26,6 +28,61 @@ def det_at_points(matrix, points) -> list[int]:
     """The determinant of a QPoly matrix at each integer point: the integer
     Bareiss determinant of the evaluated matrix, with no interpolation."""
     return [det_exact([[e.evaluate(x) for e in row] for row in matrix]) for x in points]
+
+
+def _det_mod(m, p: int) -> int:
+    """Determinant mod p of an integer matrix, destroying it.
+
+    Reduction is lazy: the pivot row and the multipliers are reduced mod p,
+    so each update a - f*b adds less than p^2 to an entry, and the trailing
+    block is left unreduced.
+    """
+    n = len(m)
+    det = 1
+    for k in range(n):
+        col = [m[i][k] % p for i in range(k, n)]
+        piv = next((i for i, v in enumerate(col) if v), None)
+        if piv is None:
+            return 0
+        if piv:
+            m[k], m[k + piv] = m[k + piv], m[k]
+            col[0], col[piv] = col[piv], col[0]
+            det = -det
+        det = det * col[0] % p
+        inv = pow(col[0], -1, p)
+        pivot_tail = [x * inv % p for x in m[k][k + 1:]]
+        for i in range(k + 1, n):
+            f = col[i - k]
+            if f:
+                row = m[i]
+                row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], pivot_tail)]
+    return det % p
+
+
+@cache
+def _classical_schur_rows(n: int) -> dict:
+    """Row lam is the classical s_lam in h-coordinates: the inverse of the
+    transposed unsigned Kostka matrix (h_nu = sum_lam K0[lam][nu] s_lam)."""
+    parts = partitions_of(n)
+    inverse = unimodular_inverse([[kostka_unsigned(lam, nu) for lam in parts]
+                                  for nu in parts])
+    return {lam: {nu: c for nu, c in zip(parts, row) if c}
+            for lam, row in zip(parts, inverse)}
+
+
+def classical_lr(lam, mu) -> dict:
+    """{kappa: c^kappa_(lam mu)}, the classical Littlewood-Richardson
+    coefficients of s_lam s_mu, with no sign code: both factors in
+    h-coordinates, h_a h_b = h_(a and b sorted), and h_nu back to
+    sum_kappa K0[kappa][nu] s_kappa by the unsigned Kostka numbers."""
+    product: dict = {}
+    for a, ca in _classical_schur_rows(sum(lam))[tuple(lam)].items():
+        for b, cb in _classical_schur_rows(sum(mu))[tuple(mu)].items():
+            nu = tuple(sorted(a + b, reverse=True))
+            product[nu] = product.get(nu, 0) + ca * cb
+    out = {kappa: sum(c * kostka_unsigned(kappa, nu) for nu, c in product.items())
+           for kappa in partitions_of(sum(lam) + sum(mu))}
+    return {kappa: c for kappa, c in out.items() if c}
 
 
 def cable_sign(matrix) -> int:

@@ -25,6 +25,7 @@ from oddsym.polyq import det_exact
 
 from oracles import (
     basis_matrix_entry_by_enumeration,
+    classical_lr,
     form_in_forgotten_basis,
     kostka_by_enumeration,
 )
@@ -62,6 +63,37 @@ def kostka_mismatches(contents):
     pairs = [(lam, mu) for mu in contents for lam in partitions_of(sum(mu))]
     bad = [(lam, mu) for lam, mu in pairs
            if (kostka(lam, mu), kostka_unsigned(lam, mu)) != kostka_by_enumeration(lam, mu)]
+    return bad, len(pairs)
+
+
+def odd_schur_product(lam, mu) -> dict:
+    """{kappa: c} with s_lam s_mu = sum_kappa c s_kappa in the quotient ring:
+    the product in h-coordinates, and h_nu = sum_kappa K[kappa][nu] s_kappa."""
+    parts, rows = kostka_matrix(sum(lam) + sum(mu))
+    column = {nu: j for j, nu in enumerate(parts)}
+    out = {kappa: sum(c * row[column[nu]] for nu, c in
+                      (bases.schur(lam) * bases.schur(mu)).terms.items())
+           for kappa, row in zip(parts, rows)}
+    return {kappa: c for kappa, c in out.items() if c}
+
+
+def littlewood_richardson_violations(total):
+    """The (lam, mu, kappa, odd, classical) over the ordered pairs of
+    nonempty partitions with |lam| + |mu| <= total where the odd coefficient
+    of s_kappa in s_lam s_mu breaks |odd| <= classical, odd = classical
+    mod 2, or, when lam or mu is a single row (Pieri), |odd| = classical;
+    and the number of pairs.  The checks read absolute values, so a sign
+    flip of a single s_lam passes them."""
+    pairs = [(lam, mu) for n in range(2, total + 1) for a in range(1, n)
+             for lam, mu in product(partitions_of(a), partitions_of(n - a))]
+    bad = []
+    for lam, mu in pairs:
+        odd, classical = odd_schur_product(lam, mu), classical_lr(lam, mu)
+        pieri = len(lam) == 1 or len(mu) == 1
+        for kappa in odd.keys() | classical.keys():
+            o, c = odd.get(kappa, 0), classical.get(kappa, 0)
+            if abs(o) > c or (o - c) % 2 or (pieri and abs(o) != c):
+                bad.append((lam, mu, kappa, o, c))
     return bad, len(pairs)
 
 
@@ -360,3 +392,41 @@ class TestSchur:
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     assert kostka_unsigned(lam, mu) >= abs(kostka(lam, mu))
+
+
+class TestLittlewoodRichardsonBounds:
+    """The odd Schur products against the classical Littlewood-Richardson
+    numbers, which read no sign.  A sign flip of a single s_lam passes these
+    checks (they read absolute values), and orthonormality too."""
+
+    def test_bounds_to_total_degree_8(self):
+        assert littlewood_richardson_violations(8) == ([], 301)
+
+    def test_first_cancellation(self):
+        assert classical_lr((2, 1), (2, 1))[(3, 2, 1)] == 2
+        assert (3, 2, 1) not in odd_schur_product((2, 1), (2, 1))
+
+    def test_names_a_wrong_schur_vector(self, monkeypatch):
+        true_schur = bases.schur
+        monkeypatch.setattr(bases, "schur", lambda lam: true_schur(lam) + true_schur((3,))
+                            if tuple(lam) == (2, 1) else true_schur(lam))
+        bad, _ = littlewood_richardson_violations(7)
+        assert len({(lam, mu) for lam, mu, *_ in bad}) == 21
+
+    def test_names_a_flipped_sign_in_the_h1_relation(self, monkeypatch):
+        # h_1 h_m = 2 h_(m+1) + h_m h_1 for even m, instead of - h_m h_1
+        true_expansion = oddring._ascent_expansion
+
+        def flipped(a, b):
+            if a == 1 and b % 2 == 0:
+                return ((2, (b + 1,)), (1, (b, 1)))
+            return true_expansion(a, b)
+
+        monkeypatch.setattr(oddring, "_ascent_expansion", flipped)
+        oddring.normalize_word.cache_clear()
+        try:
+            bad, _ = littlewood_richardson_violations(7)
+        finally:
+            monkeypatch.undo()
+            oddring.normalize_word.cache_clear()
+        assert len({(lam, mu) for lam, mu, *_ in bad}) == 106

@@ -141,6 +141,11 @@ class TestGenericPairing:
             with pytest.raises(ValueError):
                 pair_h_at(beta, alpha, q)
 
+    @pytest.mark.parametrize("q", [2.5, 2.0, True, "2"])
+    def test_q_that_is_not_an_int_raises(self, q):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            pair_h_at((1, 1), (1, 1), q)
+
     def test_symmetric(self):
         for n in range(7):
             comps = compositions_of(n)

@@ -287,6 +287,13 @@ class TestRadicalRank:
         for n in range(1, 6):
             assert radical_rank(n, 2) == 2 ** (n - 1)
 
+    @pytest.mark.parametrize("q", [1.9, 2.5, True])
+    def test_q_that_is_not_an_int_raises(self, q):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            radical_rank(3, q)
+        with pytest.raises(ValueError, match="q must be an integer"):
+            gram_matrix(2, q=q)
+
     def test_corank_is_radical_dimension(self):
         for n in range(1, 7):
             corank = 2 ** (n - 1) - radical_rank(n, -1)

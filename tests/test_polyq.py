@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oddsym.polyq import (
     DET_PRIMES,
     QPoly,
-    _det_mod,
     _det_sym_mod,
     det_bounds,
     det_by_interpolation,
@@ -21,7 +20,7 @@ from oddsym.polyq import (
     unimodular_inverse,
 )
 
-from oracles import det_at_points, rref_over_q
+from oracles import _det_mod, det_at_points, rref_over_q
 from test_oddring import PROPERTY
 
 ONE = QPoly((1,))
@@ -64,9 +63,10 @@ def elimination_mismatches(n):
     """(bad, points, fallbacks) over both symmetric blocks of degree n, each
     at every point x = 0..D modulo the prime det_by_interpolation takes for
     it: the (block, x) where symmetric elimination and _det_mod differ, the
-    number of points, and the number where a diagonal pivot vanished (the
-    symmetric route answers None, and det_by_interpolation falls back)."""
-    bad, points, fallbacks = [], 0, 0
+    number of points, and {(block, x): exact determinant of the block at x}
+    where a diagonal pivot vanished (the symmetric route answers None, and
+    det_by_interpolation falls back to det_exact)."""
+    bad, points, fallbacks = [], 0, {}
     for name, block in zip(("G+", "G-"), symmetric_blocks(n)):
         assert block == [list(col) for col in zip(*block)], (n, name)
         degree, bound = det_bounds(block)
@@ -75,10 +75,18 @@ def elimination_mismatches(n):
             at = [[e.evaluate(x) % p for e in row] for row in block]
             got = _det_sym_mod([row[k:] for k, row in enumerate(at)], p)
             points += 1
-            fallbacks += got is None
-            if got is not None and got != _det_mod(at, p):
+            if got is None:
+                fallbacks[name, x] = det_at_points(block, [x])[0]
+            elif got != _det_mod(at, p):
                 bad.append((name, x))
     return bad, points, fallbacks
+
+
+def fallback_faults(fallbacks):
+    """The fallback points of elimination_mismatches that are not where the
+    Gram blocks fall back: x = 0 or 1, with a singular block there."""
+    return {point: det for point, det in fallbacks.items()
+            if point[1] not in (0, 1) or det != 0}
 
 
 def is_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
@@ -284,14 +292,18 @@ class TestInterpolation:
 
 
 class TestSymmetricElimination:
-    """The upper-triangle elimination of det_by_interpolation against
-    _det_mod, and the fallback at a vanishing diagonal pivot."""
+    """The upper-triangle elimination of det_by_interpolation against the
+    general elimination mod p of the oracles (_det_mod), and the det_exact
+    fallback at a vanishing diagonal pivot or a matrix that is not
+    symmetric.  On the Gram blocks every fallback point is singular, so the
+    hand-made matrices below are what show the fallback's value."""
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_equals_general_elimination_on_the_gram_blocks(self, n):
         bad, points, fallbacks = elimination_mismatches(n)
         assert bad == []
-        assert 0 < fallbacks < points
+        assert 0 < len(fallbacks) < points
+        assert fallback_faults(fallbacks) == {}
 
     def test_vanishing_pivot_falls_back(self):
         p = DET_PRIMES[0]
@@ -300,7 +312,7 @@ class TestSymmetricElimination:
         assert _det_sym_mod([[1, 1], [1]], p) is None  # the second pivot
         assert det_by_interpolation([[QPoly(), ONE], [ONE, QPoly()]]) == QPoly((-1,))
         assert det_by_interpolation([[ONE, ONE], [ONE, ONE]]) == QPoly()
-        # the first pivot vanishes at q = 0 only
+        # a pivot vanishes at q = 0 (the first) and q = 1 (the second)
         assert det_by_interpolation([[Q, ONE], [ONE, Q]]) == Q * Q - ONE
 
     def test_route_follows_symmetry(self, monkeypatch):
@@ -308,16 +320,28 @@ class TestSymmetricElimination:
 
         calls = []
 
-        def recording(upper, p):
-            calls.append(len(upper))
-            return _det_sym_mod(upper, p)
+        def recording(name, f):
+            def call(m, *args):
+                calls.append((name, len(m)))
+                return f(m, *args)
+            monkeypatch.setattr(polyq, name, call)
 
-        monkeypatch.setattr(polyq, "_det_sym_mod", recording)
+        recording("_det_sym_mod", _det_sym_mod)
+        recording("det_exact", det_exact)
         two = QPoly((2,))
         assert det_by_interpolation([[ONE + Q, ONE], [two, ONE]]) == Q - ONE
-        assert calls == []
+        assert calls == [("det_exact", 2)] * 2
+        calls.clear()
         assert det_by_interpolation([[ONE + Q, two], [two, ONE]]) == Q - QPoly((3,))
-        assert calls == [2, 2]
+        assert calls == [("_det_sym_mod", 2)] * 2
+        calls.clear()
+        assert det_by_interpolation([[Q, ONE], [ONE, Q]]) == Q * Q - ONE
+        assert calls == [("_det_sym_mod", 2), ("det_exact", 2)] * 2 + [("_det_sym_mod", 2)]
+
+    def test_fallback_faults_name_a_wrong_point(self):
+        assert fallback_faults({("G+", 0): 0, ("G-", 1): 0}) == {}
+        assert fallback_faults({("G+", 2): 0, ("G-", 1): 3}) == {("G+", 2): 0,
+                                                                 ("G-", 1): 3}
 
 
 class TestUnimodular:
