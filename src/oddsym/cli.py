@@ -1,8 +1,8 @@
 """Batch command-line interface: pairings, expansions, tables, RSK, the
 determinant analysis, and the verification suites.
 
-Each subcommand bounds its sized inputs where it parses them, before any
-work.  Exit codes: 0 all requested checks pass, 1 verification failure (a
+Each subcommand checks its sized inputs against BOUNDS where it parses them,
+before any work.  Exit codes: 0 all requested checks pass, 1 verification failure (a
 JSON witness goes to stdout), 2 usage error, input out of bound, or an
 output path that cannot be written.
 """
@@ -22,19 +22,45 @@ from .polyq import QPoly
 from .rsk import rsk as rsk_map
 from .rsk import rsk_verify_degree, sign_record, sign_theorem_check, tableau_facts
 
-# The pair word degree bound at q = -1, the largest degree bound.  Every part
-# is at least 1, so parse_parts rejects a longer k^m run before building it.
-MAX_WORD_DEGREE = 16
-
 DIGITS = re.compile(r"[0-9]+")
 
-VERIFY_MAX_DEGREE = {"hopf": 9, "schur": 8, "rsk": 7, "semiorth": 10,
-                     "primitives": 10, "all": 7}
+# Every sized CLI input by where it is given: (the name its error message uses,
+# lo, hi), inclusive.  A key ending in an option bounds that option's token.
+BOUNDS = {
+    "--q": ("--q", -(2**64), 2**64),
+    # e-letters are rows and columns of one margin recursion, with no h-word
+    # expansion: every e-word pair of degree 10 takes under 0.1 s
+    "pair": ("word degree", 0, 10),
+    "pair --q -1": ("word degree at q = -1", 0, 16),
+    "expand --index": ("index degree", 0, 9),
+    "kostka --degree": ("degree", 1, 8),
+    "gram --degree": ("degree", 1, 8),
+    "rsk --verify": ("verify degree", 1, 7),
+    "rsk --matrix weight": ("matrix weight", 0, 1000),
+    "rsk --matrix entries": ("matrix entry count", 1, 1000),
+    "det --degree": ("degree", 2, gramdet.GENERIC_DET_BOUND),
+    **{f"verify --suite {suite} --max-degree": (f"max degree of suite {suite}", 1, hi)
+       for suite, hi in (("hopf", 9), ("schur", 8), ("rsk", 7), ("semiorth", 10),
+                         ("primitives", 10), ("all", 7))},
+}
+# The largest word degree: every part is at least 1, so parse_parts rejects a
+# longer k^m run before building it.
+BOUNDS["k^m"] = ("repeat count", 1, BOUNDS["pair --q -1"][2])
+
+# Every bound has at most this many digits, so a longer token (int() raises
+# past 4300 digits) is past every bound and reads as 10^_WIDTH.
+_WIDTH = max(len(str(abs(v))) for _, *bounds in BOUNDS.values() for v in bounds)
 
 
-def _bound(what: str, value: int, lo: int, hi: int) -> None:
+def _bound(key: str, value: int | str, what: str | None = None) -> int:
+    """value if it lies in BOUNDS[key], else a ValueError naming the input.  A
+    str value is the token of the option that ends the key."""
+    if isinstance(value, str):
+        value = _int(value, f"a non-negative integer for {key.rpartition(' ')[2]}")
+    name, lo, hi = BOUNDS[key]
     if not lo <= value <= hi:
-        raise ValueError(f"{what} must be in {lo}..{hi}")
+        raise ValueError(f"{what or name} must be in {lo}..{hi}")
+    return value
 
 
 def _int(token: str, expected: str, text: str | None = None) -> int:
@@ -44,7 +70,8 @@ def _int(token: str, expected: str, text: str | None = None) -> int:
     whitespace."""
     if DIGITS.fullmatch(token) is None:
         raise ValueError(f"expected {expected}: {token if text is None else text!r}")
-    return int(token)
+    digits = token.lstrip("0")
+    return int(digits or "0") if len(digits) <= _WIDTH else 10**_WIDTH
 
 
 def parse_q(text: str):
@@ -54,16 +81,14 @@ def parse_q(text: str):
         return text
     digits = text[1:] if text[:1] in ("+", "-") else text
     q = _int(digits, "generic or an integer for q", text)
-    q = -q if text[:1] == "-" else q
-    _bound("--q", q, -(2**64), 2**64)
-    return q
+    return _bound("--q", -q if text[:1] == "-" else q)
 
 
 def _tokens(text: str, expected: str):
     """Yields (token, m) for each comma-separated token of a stripped word,
-    written k or k^m for m copies of k, with 1 <= m <= MAX_WORD_DEGREE checked
-    before any copies are built.  Spaces may surround "," and "^".  The whole
-    word "" or "0" is empty."""
+    written k or k^m for m copies of k, with m in BOUNDS["k^m"] checked before
+    any copies are built.  Spaces may surround "," and "^".  The whole word ""
+    or "0" is empty."""
     if text in ("", "0"):
         return
     for token in text.split(","):
@@ -73,10 +98,8 @@ def _tokens(text: str, expected: str):
         # a negative count is out of range rather than malformed
         count = count.lstrip()
         m = _int(count.removeprefix("-"), expected, text) if caret else 1
-        if count.startswith("-") or not 1 <= m <= MAX_WORD_DEGREE:
-            raise ValueError(
-                f"repeat count in {token!r} must be in 1..{MAX_WORD_DEGREE}")
-        yield base, m
+        yield base, _bound("k^m", -m if count.startswith("-") else m,
+                           f"repeat count in {token!r}")
 
 
 def parse_parts(text: str) -> tuple[int, ...]:
@@ -113,7 +136,7 @@ def parse_matrix(text: str) -> list[list[int]]:
     """JSON list of equal-length rows of non-negative integers."""
     try:
         matrix = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         matrix = None
     if (
         not isinstance(matrix, list)
@@ -212,13 +235,10 @@ def cmd_pair(args) -> int:
     odd = q == -1
     left, right = _pair_words(args)
     degree = max(form.word_degree(left), form.word_degree(right))
+    _bound("pair --q -1" if odd else "pair", degree)
     if odd:
-        _bound("word degree at q = -1", degree, 0, MAX_WORD_DEGREE)
         value = payload = form.pair_words_odd(left, right)
     else:
-        # e-letters are rows and columns of one margin recursion, with no
-        # h-word expansion: every e-word pair of degree 10 takes under 0.1 s
-        _bound("word degree", degree, 0, 10)
         value = form.pair_words_generic(left, right)
         if q == "generic":
             payload = list(value.coeffs)
@@ -239,7 +259,7 @@ def cmd_pair(args) -> int:
 def cmd_expand(args) -> int:
     what = args.what
     index = parse_parts(args.index)
-    _bound("index degree", sum(index), 0, 9)
+    _bound("expand --index", sum(index))
     if what == "htilde":
         if args.in_basis != "h":
             raise ValueError("htilde expands over h-words only")
@@ -266,8 +286,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_kostka(args) -> int:
-    n = _int(args.degree, "a non-negative integer for --degree")
-    _bound("degree", n, 1, 8)
+    n = _bound("kostka --degree", args.degree)
     parts, rows = bases.kostka_matrix(n)
     emit_table(args, parts, parts, rows,
                f"signed Kostka numbers, degree {n} (rows = shape)")
@@ -275,8 +294,7 @@ def cmd_kostka(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    n = _int(args.degree, "a non-negative integer for --degree")
-    _bound("degree", n, 1, 8)
+    n = _bound("gram --degree", args.degree)
     labels, rows = gramdet.gram_matrix(n, parse_q(args.q), args.basis)
     title = "" if args.format == "json" else (
         f"Gram matrix, degree {n}, q = {args.q}")
@@ -288,8 +306,7 @@ def cmd_rsk(args) -> int:
     if (args.matrix is None) == (args.verify is None):
         raise ValueError("pass exactly one of --matrix or --verify")
     if args.verify is not None:
-        n = _int(args.verify, "a non-negative integer for --verify")
-        _bound("verify degree", n, 1, 7)
+        n = _bound("rsk --verify", args.verify)
         # each class is written as it arrives; the JSON chunks form one flat list
         first_bad = None
         sep = "["
@@ -314,8 +331,8 @@ def cmd_rsk(args) -> int:
                 print(json.dumps(first_bad))
         return 0 if first_bad is None else 1
     matrix = parse_matrix(args.matrix)
-    _bound("matrix weight", sum(map(sum, matrix)), 0, 1000)
-    _bound("matrix entry count", sum(map(len, matrix)), 1, 1000)
+    _bound("rsk --matrix weight", sum(map(sum, matrix)))
+    _bound("rsk --matrix entries", sum(map(len, matrix)))
     p, q = rsk_map(matrix)
     payload = sign_record(matrix, tableau_facts(p), tableau_facts(q), matrix_sign(matrix))
     if args.format == "json":
@@ -333,8 +350,7 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_det(args) -> int:
-    n = _int(args.degree, "a non-negative integer for --degree")
-    _bound("degree", n, 2, gramdet.GENERIC_DET_BOUND)
+    n = _bound("det --degree", args.degree)
     report = gramdet.det_degree_check(n)
     payload = {"degree_check": report}
     ok = report["ok"]
@@ -401,9 +417,7 @@ def run_suite(suite: str, max_degree: int):
 
 
 def cmd_verify(args) -> int:
-    max_degree = _int(args.max_degree, "a non-negative integer for --max-degree")
-    _bound(f"max degree of suite {args.suite}", max_degree, 1,
-           VERIFY_MAX_DEGREE[args.suite])
+    max_degree = _bound(f"verify --suite {args.suite} --max-degree", args.max_degree)
     failures = []
     results = []
     for name, witness in run_suite(args.suite, max_degree):
@@ -530,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=VERIFY_MAX_DEGREE, required=True)
+    p.add_argument("--suite", required=True, choices=[
+        key.split()[2] for key in BOUNDS if key.startswith("verify ")])
     p.add_argument("--max-degree", dest="max_degree", default="5")
     add_format(p)
     p.set_defaults(func=cmd_verify)

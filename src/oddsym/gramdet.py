@@ -6,9 +6,9 @@ Compositions label rows and columns in the appendix layout, grouped by their
 underlying partition.  Rows and columns move together, so the determinant
 and the ranks do not depend on the order; the determinant is normalized to
 a positive leading coefficient.  The generic determinant is the product of
-the determinants of two reversal blocks, each made symmetric and taken by
-evaluation and interpolation modulo the first prime of polyq.DET_PRIMES that
-its proven coefficient bound allows.
+the determinants of two symmetric reversal blocks over a power of 2, each
+taken by evaluation and interpolation modulo the first prime of
+polyq.DET_PRIMES that its proven coefficient bound allows.
 """
 
 import json
@@ -53,16 +53,15 @@ def reversal_blocks(n: int):
 
     The rows and columns are the representatives a <= rev a of the reversal
     orbits, in the appendix layout; G- keeps the non-palindromic ones:
-        G+[b][a] = G[b][a] + G[b][rev a]   (G[b][a] alone when a = rev a)
+        G+[b][a] = G[b][a] + G[b][rev a]   (2 G[b][a] when a = rev a)
         G-[b][a] = G[b][a] - G[b][rev a].
-    Only the representative rows of G are evaluated.
+    Both are symmetric.  Only the representative rows of G are evaluated.
     """
     labels = composition_labels(n)
     reps = [a for a in labels if a <= a[::-1]]
     odd = [a for a in reps if a != a[::-1]]
     rows = {b: {a: pair_h_generic(b, a) for a in labels} for b in reps}
-    plus = [[rows[b][a] if a == a[::-1] else rows[b][a] + rows[b][a[::-1]]
-             for a in reps] for b in reps]
+    plus = [[rows[b][a] + rows[b][a[::-1]] for a in reps] for b in reps]
     minus = [[rows[b][a] - rows[b][a[::-1]] for a in odd] for b in odd]
     return plus, minus
 
@@ -75,24 +74,22 @@ def gram_det(n: int) -> QPoly:
     Turning an N-matrix by 180 degrees reverses both of its margins and keeps
     every SW-NE pair, so (h_b, h_a) = (h_rev b, h_rev a): G commutes with the
     reversal permutation R of the compositions.  G therefore maps the
-    R-symmetric vectors (spanned by e_a + e_rev a, and e_a for a palindrome)
-    and the R-antisymmetric vectors (spanned by e_a - e_rev a) into
-    themselves.  A symmetric or antisymmetric vector is fixed by its entries
-    on the orbit representatives, so in these two bases G acts by the blocks
-    G+ and G- of reversal_blocks, and det G = det G+ * det G-
-    (Fassler-Stiefel, block diagonalization by symmetry).
+    R-symmetric vectors (spanned by e_a + e_rev a, which is 2 e_a for a
+    palindrome) and the R-antisymmetric vectors (spanned by e_a - e_rev a)
+    into themselves.  A symmetric or antisymmetric vector is fixed by its
+    entries on the orbit representatives, so in these two bases G acts by the
+    blocks G+, with its palindromic rows halved, and G- of reversal_blocks,
+    and det G = det G+ * det G- / 2^(number of palindromes) (Fassler-Stiefel,
+    block diagonalization by symmetry).
 
-    G- is symmetric, and so is G+ with its palindromic columns doubled, so
-    both take the symmetric route of polyq.det_by_interpolation.  A doubled
-    determinant not divisible by 2^(number of palindromes), or a product
-    whose value at q = 2 is not the Bareiss det G(2), raises ArithmeticError.
+    Both blocks take the symmetric route of polyq.det_by_interpolation.  A
+    det G+ not divisible by 2^(number of palindromes), or a product whose
+    value at q = 2 is not the Bareiss det G(2), raises ArithmeticError.
     """
     if n > GENERIC_DET_BOUND:
         raise ValueError(f"degree bound {GENERIC_DET_BOUND} exceeded")
     plus, minus = reversal_blocks(n)
-    reps = [a for a in composition_labels(n) if a <= a[::-1]]
-    doubled = det_by_interpolation([[e + e if a == a[::-1] else e for e, a in zip(row, reps)]
-                                    for row in plus]).coeffs
+    doubled = det_by_interpolation(plus).coeffs
     scale = 2 ** (len(plus) - len(minus))
     if any(c % scale for c in doubled):
         raise ArithmeticError(f"degree-{n} G+ determinant is not divisible by {scale}")

@@ -1,20 +1,28 @@
+import contextlib
 import csv
 import io
+import itertools
 import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddsym import form, gramdet, hopf, rsk
 from oddsym.combinat import matrices_with_margins, partitions_of
 from oddsym.cli import (
-    MAX_WORD_DEGREE,
+    BOUNDS,
     build_parser,
     main,
     parse_colored,
     parse_parts,
     parse_q,
 )
+
+# The largest word degree, which also bounds a k^m repeat count.
+MAX_WORD_DEGREE = BOUNDS["k^m"][2]
 
 # Inputs that exit 2: an argparse error, a malformed word, a format the
 # subcommand does not render, and a bound.
@@ -710,3 +718,195 @@ class TestExitCodes:
     def test_at_bound_input_is_answered(self, capsys, argv):
         assert main(argv) == 0
         assert capsys.readouterr().out
+
+
+# The argv that gives the input of a BOUNDS key a value, for the keys that are
+# not a command line to end with the value.
+EDGE_ARGV = {
+    "--q": lambda v: ["gram", "--degree", "2", "--q", str(v)],
+    "pair": lambda v: ["pair", "--left", str(v), "--right", "1"],
+    "pair --q -1": lambda v: ["pair", "--left", str(v), "--right", "1", "--q", "-1"],
+    "k^m": lambda v: ["pair", "--left", f"1^{v}", "--right", "1"],
+    "expand --index": lambda v: ["expand", "--what", "e", "--index", str(v)],
+    "rsk --matrix weight": lambda v: ["rsk", "--matrix", f"[[{v}]]"],
+    "rsk --matrix entries": lambda v: ["rsk", "--matrix", json.dumps([[0] * v])],
+}
+
+
+def bound_edge_argv(key: str, value: int) -> list[str]:
+    return EDGE_ARGV.get(key, lambda v: [*key.split(), str(v)])(value)
+
+
+BOUND_EDGES = [bound_edge_argv(key, value) for key, (_, lo, hi) in BOUNDS.items()
+               for value in (lo - 1, hi + 1)]
+
+
+def mostly(good, odd):
+    """Draws from good seven times in eight, else from odd."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 7 else good)
+
+
+# Tokens drawn in place of a number of the grammar: the forms int() would also
+# take, over-long and zero-padded digit runs, and malformed text.
+ODD_NUMBERS = st.sampled_from(
+    ["", "0", "00", "-0", "+2", "-2", "2" * 25, "9" * 5000, "0" * 5000 + "2", "２", "٢",
+     "1_0", " 2", "2 ", "2\t", "0x2", "1e3", "2.0", "^"])
+
+
+def numbers(lo: int, hi: int):
+    return mostly(st.integers(lo, hi).map(str), ODD_NUMBERS)
+
+
+def words(letters: str):
+    """Up to two tokens k or k^m, k and m up to 2, so that the accepted words
+    stay at degree 8 or less, with odd tokens and odd whole words."""
+    def tokens(count):
+        return st.lists(st.builds("{}{}{}".format, st.sampled_from(letters), count,
+                                  st.one_of(st.just(""), count.map("^{}".format))),
+                        max_size=2).map(",".join)
+    return mostly(tokens(st.integers(1, 2).map(str)), st.one_of(
+        tokens(numbers(1, 2)), st.sampled_from(["0", ",", "1,,1", " 1 , 2 ", "1 ^ 2"])))
+
+
+def option(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def command(*parts):
+    return st.tuples(*parts).map(lambda chunks: [x for chunk in chunks for x in chunk])
+
+
+Q = option("--q", mostly(
+    st.sampled_from(["generic", "-1", "0", "1", "2", "-2", "+1", str(2**64), str(-(2**64))]),
+    st.sampled_from(["x", "", "-", "1.5", "--1", "２", "9" * 5000, "-" + "9" * 5000])))
+FORMAT = mostly(st.sampled_from([[], ["--format", "plain"], ["--format", "csv"],
+                                 ["--format", "json"]]), st.just(["--format", "xml"]))
+MATRIX = option("--matrix", mostly(
+    st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1,
+             max_size=3).map(json.dumps),
+    st.sampled_from(["[" * 1000 + "]" * 1000, "[[1.5]]", "[[true]]", '[["1"]]', "[[1,",
+                     "", "{}", "null", "[[-1]]", "[[1e3]]", "[[1],[0,1]]", "[]",
+                     f"[[{'9' * 5000}]]"])))
+SUITES = [key.split()[2] for key in BOUNDS if key.startswith("verify ")]
+PAIR_LETTERS = {"h": " ", "e": " ", "mixed": "eh ", "x": " "}
+
+GRAMMAR = st.one_of(
+    mostly(st.sampled_from(["h", "e", "mixed"]), st.just("x")).flatmap(lambda basis: command(
+        st.just(["pair", "--basis", basis]), option("--left", words(PAIR_LETTERS[basis])),
+        option("--right", words(PAIR_LETTERS[basis])), Q, FORMAT)),
+    command(st.just(["expand", "--what"]),
+            st.sampled_from(["e", "m", "f", "s", "p", "htilde"]).map(lambda w: [w]),
+            option("--index", words(" ")),
+            st.sampled_from([[], ["--in-basis", "h"], ["--in-basis", "e"]]), FORMAT),
+    command(st.just(["kostka"]), option("--degree", numbers(1, 4)), FORMAT),
+    command(st.just(["gram"]), option("--degree", numbers(1, 4)), Q,
+            st.sampled_from([[], ["--basis", "partitions"]]), FORMAT),
+    command(st.just(["rsk"]), mostly(st.one_of(MATRIX, option("--verify", numbers(1, 3))),
+                                     command(MATRIX, option("--verify", numbers(1, 3)))),
+            FORMAT),
+    command(st.just(["det"]), option("--degree", numbers(2, 3)),
+            st.sampled_from([[], ["--factors"]]), FORMAT),
+    command(st.just(["verify"]), option("--suite", st.sampled_from(SUITES)),
+            option("--max-degree", numbers(1, 2)), FORMAT),
+    st.just(["tables"]),
+)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def with_examples(argvs):
+    """Decorates a test of (argv, cut) with each argv, uncut, as an example."""
+    def decorate(test):
+        for argv in argvs:
+            test = example(argv, -1)(test)
+        return test
+    return decorate
+
+
+def readme_bound_rows():
+    """The cells of the table that follows "Input bounds" in the README."""
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    lines = lines[next(i for i, line in enumerate(lines) if line.startswith("Input bounds")):]
+    table = itertools.takewhile(lambda line: line.startswith("|"),
+                                itertools.dropwhile(lambda line: not line.startswith("|"), lines))
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in list(table)[2:]]
+
+
+def readme_number(cell: str) -> int:
+    """A decimal, or a power of two written 2^k or -2^k."""
+    sign, caret, power = cell.partition("2^")
+    return (-1 if sign else 1) * 2 ** int(power) if caret else int(cell)
+
+
+class TestContract:
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_deeply_nested_matrix_is_malformed(self, depth):
+        code, out, err = run_main(["rsk", "--matrix", "[" * depth + "]" * depth])
+        assert (code, out) == (2, "")
+        assert err == ("error: matrix must be a JSON list of equal-length rows with "
+                       "non-negative integer entries\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pair", "--left", "9" * 4400, "--right", "1"], "word degree must be in 0..10"),
+        (["pair", "--left", "9" * 4400, "--right", "1", "--q", "-1"],
+         "word degree at q = -1 must be in 0..16"),
+        (["gram", "--degree", "9" * 5000], "degree must be in 1..8"),
+        (["expand", "--what", "e", "--index", "9" * 5000], "index degree must be in 0..9"),
+        (["pair", "--left", "1^" + "9" * 5000, "--right", "1"],
+         f"repeat count in '1^{'9' * 5000}' must be in 1..16"),
+        (["pair", "--left", "1", "--right", "1", "--q", "-" + "9" * 5000],
+         f"--q must be in {-(2**64)}..{2**64}"),
+        (["verify", "--suite", "rsk", "--max-degree", "9" * 5000],
+         "max degree of suite rsk must be in 1..7"),
+    ])
+    def test_over_long_integer_gets_the_bound_message(self, argv, message):
+        # int() refuses more than 4300 digits on CPython 3.11+
+        assert run_main(argv) == (2, "", f"error: {message}\n")
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        code, out, _ = run_main(["kostka", "--degree", "0" * 5000 + "2", "--format", "json"])
+        assert code == 0 and out == run_main(["kostka", "--degree", "2", "--format", "json"])[1]
+
+    def test_readme_lists_every_bound(self):
+        rows = [(key.strip("`"), name, readme_number(lo), readme_number(hi))
+                for key, _, name, lo, hi in readme_bound_rows()]
+        assert rows == [(key, *bound) for key, bound in BOUNDS.items()]
+
+    @pytest.mark.parametrize("key", BOUNDS)
+    def test_bound_edges_exit_2(self, key):
+        name, lo, hi = BOUNDS[key]
+        for value in (lo - 1, hi + 1):
+            code, out, err = run_main(bound_edge_argv(key, value))
+            assert (code, out) == (2, "") and err.startswith("error: "), (value, err)
+            assert err.count("\n") == 1, err
+        # hi + 1 is well formed, so it gets the bound's message
+        assert err.startswith(f"error: {name}") and err.endswith(f" must be in {lo}..{hi}\n")
+
+    # every bound edge, and nesting past the recursion limit (which hypothesis
+    # raises while it runs a test), run before the draws
+    @with_examples([*BOUND_EDGES, ["rsk", "--matrix", "[" * 10**5 + "]" * 10**5]])
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(GRAMMAR, mostly(st.just(-1), st.integers(0, 11)))
+    def test_every_input_exits_0_1_or_2(self, argv, cut):
+        # cut drops one element of the argv, when it has one there
+        argv = argv[:cut] + argv[cut + 1:] if 0 <= cut < len(argv) else argv
+        code, out, err = run_main(argv)
+        failures = (argv[:1] == ["verify"] or argv[:1] == ["det"] and "--factors" in argv
+                    or argv[:1] == ["rsk"] and "--verify" in argv)
+        assert code in (0, 2) or code == 1 and failures, (argv, code)
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        if code != 2 and "json" in argv:
+            json.loads(out)
+        if code != 2 and "csv" in argv:
+            list(csv.reader(io.StringIO(out)))
+

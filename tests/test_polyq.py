@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oddsym.gramdet import reversal_blocks
 from oddsym.polyq import (
     DET_PRIMES,
     QPoly,
@@ -48,17 +49,6 @@ def det_cofactor(matrix):
     return total
 
 
-def symmetric_blocks(n):
-    """The blocks gram_det eliminates: G+ with its palindromic columns
-    doubled, and G-."""
-    from oddsym.gramdet import composition_labels, reversal_blocks
-
-    plus, minus = reversal_blocks(n)
-    reps = [a for a in composition_labels(n) if a <= a[::-1]]
-    return [[e + e if a == a[::-1] else e for e, a in zip(row, reps)]
-            for row in plus], minus
-
-
 def elimination_mismatches(n):
     """(bad, points, fallbacks) over both symmetric blocks of degree n, each
     at every point x = 0..D modulo the prime det_by_interpolation takes for
@@ -67,7 +57,7 @@ def elimination_mismatches(n):
     where a diagonal pivot vanished (the symmetric route answers None, and
     det_by_interpolation falls back to det_exact)."""
     bad, points, fallbacks = [], 0, {}
-    for name, block in zip(("G+", "G-"), symmetric_blocks(n)):
+    for name, block in zip(("G+", "G-"), reversal_blocks(n)):
         assert block == [list(col) for col in zip(*block)], (n, name)
         degree, bound = det_bounds(block)
         p = det_prime(degree, bound)
@@ -267,12 +257,12 @@ class TestInterpolation:
             det_prime(2**521, 1)
 
     def test_prime_of_each_gram_block(self):
-        # (doubled G+, G-) per degree
+        # (G+, G-) per degree
         p61, p127, p192, _, p521 = DET_PRIMES
         want = {2: (p61, p61), 3: (p61, p61), 4: (p61, p61), 5: (p127, p61),
                 6: (p192, p61), 7: (p521, p192)}
         for n, primes in want.items():
-            assert tuple(det_prime(*det_bounds(b)) for b in symmetric_blocks(n)) == primes, n
+            assert tuple(det_prime(*det_bounds(b)) for b in reversal_blocks(n)) == primes, n
 
     def test_prime_is_prime(self):
         for p in DET_PRIMES:
