@@ -20,7 +20,7 @@ from . import bases, form, gramdet, hopf, oddring
 from .combinat import is_partition, matrix_sign, partitions_of
 from .polyq import QPoly
 from .rsk import rsk as rsk_map
-from .rsk import rsk_verify_degree, sign_record, sign_theorem_check, tableau_facts
+from .rsk import decoded, rsk_verify_degree, sign_record, sign_theorem_check, tableau_facts
 
 DIGITS = re.compile(r"[0-9]+")
 
@@ -312,7 +312,7 @@ def cmd_rsk(args) -> int:
         sep = "["
         for cls in rsk_verify_degree(n):
             if args.format == "json":
-                sys.stdout.write(sep + json.dumps(cls["matrices"])[1:-1])
+                sys.stdout.write(sep + ", ".join(cls["matrices"]))
                 sep = ", "
             else:
                 print(
@@ -328,7 +328,7 @@ def cmd_rsk(args) -> int:
         else:
             print("degree", n, "PASS" if first_bad is None else "FAIL")
             if first_bad is not None:
-                print(json.dumps(first_bad))
+                print(json.dumps(decoded(first_bad)))
         return 0 if first_bad is None else 1
     matrix = parse_matrix(args.matrix)
     _bound("rsk --matrix weight", sum(map(sum, matrix)))

@@ -8,12 +8,13 @@ Both transpose two letters, so each move flips the word sign; the odd
 plactic ring imposes the same relations with a coefficient of -1.
 """
 
+import json
 from bisect import bisect_right
 from collections import namedtuple
 from operator import sub
 
 from . import form
-from .bases import kostka_matrix, kostka_unsigned
+from .bases import _partition, kostka_matrix, kostka_unsigned
 from .combinat import Tableau, inversions, partitions_of, row_fillings, shape_sign
 
 RskPair = namedtuple("RskPair", ["insertion", "recording"])
@@ -103,7 +104,7 @@ def tableau_facts(t: Tableau) -> tuple:
 def sign_record(matrix, p: tuple, q: tuple, sign_a: int) -> dict:
     """The signs of one N-matrix, sign(A) = (-1)^matrix_inv(A), and of its
     RSK image, given as the tableau_facts of P and Q: the record that
-    `rsk --matrix` prints and odd_rsk_check keeps per matrix."""
+    `rsk --matrix` prints and, with its check, odd_rsk_check keeps as JSON."""
     return {
         "matrix": [list(r) for r in matrix],
         "P": p[0],
@@ -130,54 +131,58 @@ def odd_rsk_check(mu, rho) -> dict:
     row is inserted into copies of its parent's P and Q, so matrices sharing
     their first rows share that work, and the row exponents sum to
     matrix_inv, whose parity is sign(A).  Within the class the row fillings
-    of each (row, column margins left), and the facts of each distinct P
-    and Q (record lists, sign, shape, SSYT of the right content), are found
-    once; records of equal tableaux share those lists, which are read-only.
+    of each (row, column margins left) with their JSON, and the facts of each
+    distinct P and Q (JSON lists, sign, shape, SSYT of the right content),
+    are found once.  A record is kept as the JSON text of its sign_record and
+    "ok", joined at the leaf from those pieces and the ", "-led row texts.
     """
-    mu, rho = tuple(mu), tuple(rho)
+    mu, rho = _partition(mu), _partition(rho)
     if sum(mu) != sum(rho):
         raise ValueError("row and column margins have different weights")
     entries = []
     images = set()
     p_facts, q_facts, row_memo = {}, {}, {}
+    total, all_ok = 0, True
 
     def facts(memo, key, content):
         # an entry outside 1..len(content) fails the check rather than raise
         if key not in memo:
             t = Tableau(key)
+            lists, sign, shape = tableau_facts(t)
             ssyt = t.is_semistandard() and max(map(max, key), default=0) <= len(content)
-            memo[key] = (*tableau_facts(t), ssyt and t.content(len(content)) == content)
+            memo[key] = (key, json.dumps(lists), sign, shape,
+                         ssyt and t.content(len(content)) == content)
         return memo[key]
 
-    def fill(i, rows, left, inv, p_rows, q_rows):
+    def fill(i, prefix, left, inv, p_rows, q_rows):
+        nonlocal total, all_ok
         if i == len(mu):
-            image = tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
-            p, q = facts(p_facts, image[0], rho), facts(q_facts, image[1], mu)
-            e = sign_record(rows, p, q, -1 if inv % 2 else 1)
-            e["ok"] = (e["sign_A"] == e["shape_sign"] * e["sign_P"] * e["sign_Q"]
-                       and p[2] == q[2] and p[3] and q[3])
-            images.add(image)
-            entries.append(e)
+            p = facts(p_facts, tuple(map(tuple, p_rows)), rho)
+            q = facts(q_facts, tuple(map(tuple, q_rows)), mu)
+            sign_a, sign_s = -1 if inv % 2 else 1, shape_sign(p[3])
+            ok = sign_a == sign_s * p[2] * q[2] and p[3] == q[3] and p[4] and q[4]
+            entries.append(f'{{"matrix": [{prefix[2:]}], "P": {p[1]}, "Q": {q[1]}, '
+                           f'"sign_A": {sign_a}, "sign_P": {p[2]}, "sign_Q": {q[2]}, '
+                           f'"shape_sign": {sign_s}, "ok": {"true" if ok else "false"}}}')
+            images.add((p[0], q[0]))  # the memo's keys, not this leaf's tuples
+            total, all_ok = total + sign_a, all_ok and ok
             return
         if (i, left) not in row_memo:
             # the last row is what the column margins leave, with no rows below
-            row_memo[i, left] = ([(left, 0)] if i == len(mu) - 1
-                                 else row_fillings(mu[i], left, left))
-        for m, exp in row_memo[i, left]:
+            row_memo[i, left] = [(m, exp, ", " + json.dumps(m)) for m, exp in (
+                [(left, 0)] if i == len(mu) - 1 else row_fillings(mu[i], left, left))]
+        for m, exp, text in row_memo[i, left]:
             p, q = [list(r) for r in p_rows], [list(r) for r in q_rows]
             _insert_row(p, q, i + 1, m)
-            fill(i + 1, rows + (m,), tuple(map(sub, left, m)), inv + exp, p, q)
+            fill(i + 1, prefix + text, tuple(map(sub, left, m)), inv + exp, p, q)
 
-    fill(0, (), rho, 0, [], [])
+    fill(0, "", rho, 0, [], [])
     parts, table = kostka_matrix(sum(mu))
     pairs = sum(kostka_unsigned(lam, rho) * kostka_unsigned(lam, mu) for lam in parts)
-    bijective = all(e["ok"] for e in entries) and len(images) == len(entries) == pairs
-    total = sum(e["sign_A"] for e in entries)
+    bijective = all_ok and len(images) == len(entries) == pairs
     aggregate = form.pair_h_at(mu, rho, -1)
     m, r = parts.index(mu), parts.index(rho)
-    kostka_sum = sum(
-        shape_sign(lam) * row[m] * row[r] for lam, row in zip(parts, table)
-    )
+    kostka_sum = sum(shape_sign(lam) * row[m] * row[r] for lam, row in zip(parts, table))
     return {
         "mu": mu,
         "rho": rho,
@@ -188,6 +193,11 @@ def odd_rsk_check(mu, rho) -> dict:
         "kostka_identity": kostka_sum,
         "ok": bijective and total == aggregate == kostka_sum,
     }
+
+
+def decoded(report: dict) -> dict:
+    """An odd_rsk_check report with its records as objects, for a witness."""
+    return {**report, "matrices": [json.loads(e) for e in report["matrices"]]}
 
 
 def rsk_verify_degree(n: int):
@@ -203,5 +213,5 @@ def sign_theorem_check(n: int) -> list:
     one-item list; empty when every class passes."""
     for report in rsk_verify_degree(n):
         if not report["ok"]:
-            return [report]
+            return [decoded(report)]
     return []

@@ -30,6 +30,12 @@ RAISES = {
     "primitives(0)": (lambda: primitives(0), ValueError, ">= 1"),
     "odd_rsk_check on unequal margins": (lambda: odd_rsk_check((2,), (1,)), ValueError,
                                          "different weights"),
+    "odd_rsk_check on row margins (1, 2)": (lambda: odd_rsk_check((1, 2), (3,)), ValueError,
+                                            r"not a partition: \(1, 2\)"),
+    "odd_rsk_check on column margins (1, 2)": (lambda: odd_rsk_check((2, 1), (1, 2)),
+                                               ValueError, r"not a partition: \(1, 2\)"),
+    "odd_rsk_check on a zero margin": (lambda: odd_rsk_check((0, 3), (3,)), ValueError,
+                                       r"not a partition: \(0, 3\)"),
 }
 
 RETURNS = {

@@ -1,3 +1,4 @@
+import json
 import operator
 import types
 
@@ -32,6 +33,11 @@ from oracles import (
     odd_rsk_per_matrix,
     two_line_array,
 )
+
+
+def records(report) -> list:
+    """The records of an odd_rsk_check report, read from their JSON text."""
+    return [json.loads(e) for e in report["matrices"]]
 
 
 def test_package_attribute_is_the_module():
@@ -223,16 +229,16 @@ class TestOddRskTheorem:
     def test_reference_margin_classes(self):
         r = odd_rsk_check((1, 1, 1), (2, 1))
         assert r["ok"]
-        assert sorted(e["sign_A"] for e in r["matrices"]) == [-1, 1, 1]
+        assert sorted(e["sign_A"] for e in records(r)) == [-1, 1, 1]
         r = odd_rsk_check((2, 2), (2, 1, 1))
         assert r["ok"]
-        assert sorted(e["sign_A"] for e in r["matrices"]) == [-1, 1, 1, 1]
+        assert sorted(e["sign_A"] for e in records(r)) == [-1, 1, 1, 1]
 
     def test_trivial_class(self):
         for n in range(1, 6):
             r = odd_rsk_check((n,), (n,))
             assert r["ok"] and len(r["matrices"]) == 1
-            assert r["matrices"][0]["sign_A"] == 1
+            assert records(r)[0]["sign_A"] == 1
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exhaustive_by_degree(self, n):
@@ -270,7 +276,7 @@ class TestOddRskTheorem:
 
         monkeypatch.setattr(oddsym.rsk, "_insert_row", colliding)
         r = odd_rsk_check(mu, rho)
-        assert all(e["ok"] for e in r["matrices"])
+        assert all(e["ok"] for e in records(r))
         assert r["aggregate_sign_count"] == r["hh_entry"] == r["kostka_identity"]
         assert not r["bijective"] and not r["ok"]
 
@@ -285,18 +291,16 @@ class TestOddRskTheorem:
 
         monkeypatch.setattr(oddsym.rsk, "row_fillings", fewer)
         r = odd_rsk_check(mu, rho)
-        assert [e["matrix"] for e in r["matrices"]] == [
+        assert [e["matrix"] for e in records(r)] == [
             list(map(list, a)) for a in matrices_with_margins(mu, rho)[1:]
         ]
-        assert all(e["ok"] for e in r["matrices"])
+        assert all(e["ok"] for e in records(r))
         assert not r["bijective"] and not r["ok"]
 
     def test_one_flipped_tableau_fails_its_records_only(self, monkeypatch, capsys):
         # the sign of one tableau T of shape (3, 1) flips; other tableaux of
         # that shape keep theirs, so facts keyed on the shape would miss it.
         # A record with P == Q == T flips both signs and still holds.
-        import json
-
         from oddsym.bases import kostka_matrix
         from oddsym.cli import main
 
@@ -308,16 +312,19 @@ class TestOddRskTheorem:
         flipped = 0
         for report in rsk_verify_degree(4):
             hit = False
-            for e in report["matrices"]:
+            for e in records(report):
                 once = (e["P"] == t.to_lists()) != (e["Q"] == t.to_lists())
                 assert e["ok"] is not once, e
                 hit |= once
                 flipped += once
             assert report["ok"] is not hit
             if hit and first_bad is None:
-                first_bad = report
+                first_bad = {**report, "matrices": records(report)}
         assert flipped and first_bad is not None
-        assert sign_theorem_check(4) == [first_bad]
+        witness = sign_theorem_check(4)
+        assert witness == [first_bad]
+        # the witness holds the records as objects, not as their JSON text
+        assert all(isinstance(e, dict) for e in witness[0]["matrices"])
         assert main(["verify", "--suite", "rsk", "--max-degree", "4",
                      "--format", "json"]) == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
@@ -325,16 +332,17 @@ class TestOddRskTheorem:
                              "witness": json.loads(json.dumps([first_bad]))}]
 
     def test_pass_matches_per_matrix_oracle(self):
-        # the matrices in matrices_with_margins order, then record for record
+        # the matrices in matrices_with_margins order, then record for record:
+        # each record's text is json.dumps of the oracle's dict, key order included
         for n in range(1, 7):
             for mu in partitions_of(n):
                 for rho in partitions_of(n):
                     got = odd_rsk_check(mu, rho)["matrices"]
                     want = odd_rsk_per_matrix(mu, rho)
-                    assert [e["matrix"] for e in got] == [
+                    assert [json.loads(e)["matrix"] for e in got] == [
                         list(map(list, a)) for a in matrices_with_margins(mu, rho)
                     ], (mu, rho)
-                    assert got == want, (mu, rho)
+                    assert got == [json.dumps(e) for e in want], (mu, rho)
 
     def test_row_exponents_sum_to_matrix_inv(self):
         # filling row by row under the column margins left, the row_fillings
@@ -351,7 +359,7 @@ class TestOddRskTheorem:
 
     def test_report_schema(self):
         r = odd_rsk_check((2, 1), (2, 1))
-        for entry in r["matrices"]:
+        for entry in records(r):
             assert set(entry) == {
                 "matrix", "P", "Q", "sign_A", "sign_P", "sign_Q", "shape_sign", "ok",
             }
