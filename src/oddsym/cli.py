@@ -2,9 +2,14 @@
 determinant analysis, and the verification suites.
 
 Each subcommand checks its sized inputs against BOUNDS where it parses them,
-before any work.  Exit codes: 0 all requested checks pass, 1 verification failure (a
-JSON witness goes to stdout), 2 usage error, input out of bound, or an
-output path that cannot be written.
+before any work, and returns (failures, payload): the list of its failure
+witnesses, empty on success, and the object that its JSON output encodes.
+main hands both to the one writer of the requested format, which alone
+renders them (plain and CSV by a renderer per subcommand), and exits 1 if
+failures is not empty once the payload is written.  Exit codes: 0 all
+requested checks pass, 1 verification failure (a JSON witness goes to
+stdout), 2 usage error, input out of bound, or an output (a --out path or
+stdout itself) that cannot be written.
 """
 
 import argparse
@@ -18,7 +23,6 @@ from importlib import resources
 
 from . import bases, form, gramdet, hopf, oddring
 from .combinat import is_partition, matrix_sign, partitions_of
-from .polyq import QPoly
 from .rsk import rsk as rsk_map
 from .rsk import decoded, rsk_verify_degree, sign_record, sign_theorem_check, tableau_facts
 
@@ -163,62 +167,6 @@ def table_cells(row_labels, col_labels, rows) -> list[list[str]]:
     return cells
 
 
-def emit_csv(rows) -> None:
-    """The one CSV writer of stdout: CRLF line ends, quotes only as needed."""
-    csv.writer(sys.stdout).writerows(rows)
-
-
-def emit_table(args, row_labels, col_labels, rows, title: str) -> None:
-    fmt = args.format
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "title": title,
-                    "rows": [list(r) for r in row_labels],
-                    "columns": [list(c) for c in col_labels],
-                    "entries": [[_jsonable(x) for x in row] for row in rows],
-                }
-            )
-        )
-        return
-    cells = table_cells(row_labels, col_labels, rows)
-    if fmt == "csv":
-        emit_csv(cells)
-        return
-    widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
-    print(title)
-    for r in cells:
-        print("  ".join(x.rjust(w) for x, w in zip(r, widths)))
-
-
-def _jsonable(x):
-    if isinstance(x, QPoly):
-        return list(x.coeffs)
-    return x
-
-
-def emit_expansion(args, name: str, terms: dict, letter: str) -> None:
-    fmt = args.format
-    if fmt == "json":
-        print(json.dumps({name: {",".join(map(str, p)): c for p, c in sorted(terms.items())}}))
-        return
-    if fmt == "csv":
-        emit_csv([["index", "coefficient"]]
-                 + [[fmt_parts(p), c] for p, c in sorted(terms.items())])
-        return
-    bits = []
-    for p, c in sorted(terms.items()):
-        label = f"{letter}({fmt_parts(p)})" if p else "1"
-        if c == 1:
-            bits.append(f"+ {label}")
-        elif c == -1:
-            bits.append(f"- {label}")
-        else:
-            bits.append(f"{c:+d}*{label}")
-    print(f"{name} =", " ".join(bits) if bits else "0")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -230,154 +178,84 @@ def _pair_words(args):
     return mk(parse_parts(args.left)), mk(parse_parts(args.right))
 
 
-def cmd_pair(args) -> int:
+def cmd_pair(args):
     q = parse_q(args.q)
-    odd = q == -1
     left, right = _pair_words(args)
     degree = max(form.word_degree(left), form.word_degree(right))
-    _bound("pair --q -1" if odd else "pair", degree)
-    if odd:
-        value = payload = form.pair_words_odd(left, right)
+    _bound("pair --q -1" if q == -1 else "pair", degree)
+    if q == -1:
+        value = form.pair_words_odd(left, right)
     else:
         value = form.pair_words_generic(left, right)
-        if q == "generic":
-            payload = list(value.coeffs)
-        else:
-            value = payload = value.evaluate(q)
-    shown = str(value)
-    if args.format == "json":
-        print(json.dumps({"left": args.left, "right": args.right, "q": args.q,
-                          "value": payload}))
-    elif args.format == "csv":
-        emit_csv([["left", "right", "q", "value"],
-                  [args.left, args.right, args.q, shown]])
-    else:
-        print(shown)
-    return 0
+        if q != "generic":
+            value = value.evaluate(q)
+    return [], {"left": args.left, "right": args.right, "q": args.q, "value": value}
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args):
     what = args.what
     index = parse_parts(args.index)
     _bound("expand --index", sum(index))
-    if what == "htilde":
-        if args.in_basis != "h":
-            raise ValueError("htilde expands over h-words only")
-        terms = form.htilde_expansion(index)
-        emit_expansion(args, f"htilde({fmt_parts(index)})", terms, "h")
-        return 0
-    makers = {
-        "e": oddring.e_elt,
-        "m": bases.monomial,
-        "f": bases.forgotten,
-        "s": bases.schur,
-        "p": lambda p: bases.power_sum(p[0]),
-    }
+    if what == "htilde" and args.in_basis != "h":
+        raise ValueError("htilde expands over h-words only")
     if what == "p" and len(index) != 1:
         raise ValueError("power sums are indexed by a single integer")
     if what in ("m", "f", "s") and not is_partition(index):
         raise ValueError(f"{what} is indexed by a partition (weakly decreasing "
                          f"parts): {args.index!r}")
-    elt = makers[what](index)
-    terms = elt.terms if args.in_basis == "h" else oddring.e_coordinates(elt)
-    emit_expansion(args, f"{what}({fmt_parts(index)})", terms,
-                   args.in_basis)
-    return 0
+    if what == "htilde":
+        terms = form.htilde_expansion(index)
+    else:
+        elt = {"e": oddring.e_elt, "m": bases.monomial, "f": bases.forgotten,
+               "s": bases.schur, "p": lambda p: bases.power_sum(p[0])}[what](index)
+        terms = elt.terms if args.in_basis == "h" else oddring.e_coordinates(elt)
+    return [], {f"{what}({fmt_parts(index)})": {
+        ",".join(map(str, p)): c for p, c in sorted(terms.items())}}
 
 
-def cmd_kostka(args) -> int:
+def cmd_kostka(args):
     n = _bound("kostka --degree", args.degree)
     parts, rows = bases.kostka_matrix(n)
-    emit_table(args, parts, parts, rows,
-               f"signed Kostka numbers, degree {n} (rows = shape)")
-    return 0
+    return [], {"title": f"signed Kostka numbers, degree {n} (rows = shape)",
+                "rows": parts, "columns": parts, "entries": rows}
 
 
-def cmd_gram(args) -> int:
+def cmd_gram(args):
     n = _bound("gram --degree", args.degree)
     labels, rows = gramdet.gram_matrix(n, parse_q(args.q), args.basis)
-    title = "" if args.format == "json" else (
-        f"Gram matrix, degree {n}, q = {args.q}")
-    emit_table(args, labels, labels, rows, title)
-    return 0
+    return [], {"title": f"Gram matrix, degree {n}, q = {args.q}",
+                "rows": labels, "columns": labels, "entries": rows}
 
 
-def cmd_rsk(args) -> int:
+def cmd_rsk(args):
     if (args.matrix is None) == (args.verify is None):
         raise ValueError("pass exactly one of --matrix or --verify")
     if args.verify is not None:
         n = _bound("rsk --verify", args.verify)
-        # each class is written as it arrives; the JSON chunks form one flat list
-        first_bad = None
-        sep = "["
-        for cls in rsk_verify_degree(n):
-            if args.format == "json":
-                sys.stdout.write(sep + ", ".join(cls["matrices"]))
-                sep = ", "
-            else:
-                print(
-                    f"margins {fmt_parts(cls['mu'])} x {fmt_parts(cls['rho'])}: "
-                    f"{len(cls['matrices'])} matrices, signed sum "
-                    f"{cls['aggregate_sign_count']}, "
-                    f"{'ok' if cls['ok'] else 'FAIL'}"
-                )
-            if first_bad is None and not cls["ok"]:
-                first_bad = cls
-        if args.format == "json":
-            print("]")
-        else:
-            print("degree", n, "PASS" if first_bad is None else "FAIL")
-            if first_bad is not None:
-                print(json.dumps(decoded(first_bad)))
-        return 0 if first_bad is None else 1
+        failures = []
+
+        def classes():
+            # filled as the writer drains the stream, so whole once it is written
+            for cls in rsk_verify_degree(n):
+                if not cls["ok"]:
+                    failures.append(cls)
+                yield cls
+
+        return failures, classes()
     matrix = parse_matrix(args.matrix)
     _bound("rsk --matrix weight", sum(map(sum, matrix)))
     _bound("rsk --matrix entries", sum(map(len, matrix)))
     p, q = rsk_map(matrix)
-    payload = sign_record(matrix, tableau_facts(p), tableau_facts(q), matrix_sign(matrix))
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print("P:", payload["P"])
-        print("Q:", payload["Q"])
-        print(
-            "sign(A) =", payload["sign_A"],
-            " sign(P) =", payload["sign_P"],
-            " sign(Q) =", payload["sign_Q"],
-            " shape sign =", payload["shape_sign"],
-        )
-    return 0
+    return [], sign_record(matrix, tableau_facts(p), tableau_facts(q), matrix_sign(matrix))
 
 
-def cmd_det(args) -> int:
+def cmd_det(args):
     n = _bound("det --degree", args.degree)
-    report = gramdet.det_degree_check(n)
-    payload = {"degree_check": report}
-    ok = report["ok"]
+    checked = {"degree_check": gramdet.det_degree_check(n)}
     if args.factors:
-        payload["factors"] = gramdet.factor_multiplicity_check(n)
-        ok = ok and payload["factors"]["ok"]
-    det = gramdet.gram_det(n)
-    if args.format == "json":
-        payload["determinant"] = list(det.coeffs)
-        print(json.dumps(payload))
-    else:
-        print(f"det degree {report['det_degree']} (formula {report['formula']}), "
-              f"leading coefficient {report['leading_coefficient']}: "
-              f"{'ok' if report['ok'] else 'FAIL'}")
-        if n <= 3:
-            print("det =", det)
-        if args.factors:
-            for f in payload["factors"]["items"]:
-                print(f"  {f['factor']}: multiplicity {f['multiplicity']} "
-                      f"(listed {f['listed']}) {'ok' if f['ok'] else 'FAIL'}")
-            print(f"  residual after all listed factors: "
-                  f"{payload['factors']['residual']}")
-    if not ok:
-        if args.format != "json":
-            print(json.dumps(payload))
-        return 1
-    return 0
+        checked["factors"] = gramdet.factor_multiplicity_check(n)
+    failures = [] if all(c["ok"] for c in checked.values()) else [checked]
+    return failures, {**checked, "determinant": gramdet.gram_det(n)}
 
 
 def run_suite(suite: str, max_degree: int):
@@ -416,46 +294,35 @@ def run_suite(suite: str, max_degree: int):
                 yield f"primitives/centrality p_{k}", hopf.centrality_check(k, max_degree)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     max_degree = _bound(f"verify --suite {args.suite} --max-degree", args.max_degree)
-    failures = []
-    results = []
+    results, failures = [], []
     for name, witness in run_suite(args.suite, max_degree):
         results.append({"check": name, "ok": not witness})
-        if args.format != "json":
-            note = ""
-            if name.startswith("hopf/composite-involutive"):
-                note = ("  (involutive composite; the axiom-satisfying antipode"
-                        " is not involutive)")
-            print(f"{'FAIL' if witness else 'PASS'}  {name}{note}")
         if witness:
             failures.append({"check": name, "witness": witness})
-    if args.format == "json":
-        print(json.dumps({"results": results, "failures": failures}))
-    elif failures:
-        print(json.dumps({"failures": failures}))
-    return 1 if failures else 0
+    return failures, {"results": results, "failures": failures}
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args):
     if not args.appendix:
         raise ValueError("nothing to do: pass --appendix")
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def write_csv(name, row_labels, col_labels, rows):
+    def write_table(name, row_labels, col_labels, rows):
         with open(out / name, "w", newline="") as fh:
             csv.writer(fh).writerows(table_cells(row_labels, col_labels, rows))
 
     for n in range(1, 6):
         parts, rows = bases.kostka_matrix(n)
-        write_csv(f"kostka_degree_{n}.csv", parts, parts, rows)
+        write_table(f"kostka_degree_{n}.csv", parts, parts, rows)
     for n in range(1, 5):
         labels, rows = gramdet.gram_matrix(n)
-        write_csv(f"gram_generic_degree_{n}.csv", labels, labels, rows)
+        write_table(f"gram_generic_degree_{n}.csv", labels, labels, rows)
     for n in range(1, 7):
         labels, rows = gramdet.gram_matrix(n, q=-1, basis="partitions")
-        write_csv(f"gram_qminus1_degree_{n}.csv", labels, labels, rows)
+        write_table(f"gram_qminus1_degree_{n}.csv", labels, labels, rows)
 
     def write_expansions(name, indices, maker):
         with open(out / name, "w", newline="") as fh:
@@ -472,8 +339,114 @@ def cmd_tables(args) -> int:
 
     data = resources.files("oddsym.data").joinpath("degenerate_factors.json").read_text()
     (out / "degenerate_factors.json").write_text(data)
-    print(f"wrote appendix tables to {out}")
-    return 0
+    return [], f"wrote appendix tables to {out}"
+
+
+# ---------------------------------------------------------------------------
+# writers: each renders a subcommand's (failures, payload) in one format
+
+
+# The one JSON encoder, built once (json.dumps(default=...) builds one per
+# call); a QPoly, the one value JSON has no form for, is its coefficient list.
+_JSON = json.JSONEncoder(default=lambda poly: list(poly.coeffs))
+
+
+def plain_expand(args, failures, payload):
+    [(name, terms)] = payload.items()
+    bits = []
+    for index, c in terms.items():
+        label = f"{args.in_basis}({index})" if index else "1"
+        bits.append({1: f"+ {label}", -1: f"- {label}"}.get(c, f"{c:+d}*{label}"))
+    yield f"{name} = {' '.join(bits) if bits else '0'}"
+
+
+def _cells(payload):
+    return table_cells(payload["rows"], payload["columns"], payload["entries"])
+
+
+def plain_table(args, failures, payload):
+    cells = _cells(payload)
+    widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
+    yield payload["title"]
+    for r in cells:
+        yield "  ".join(x.rjust(w) for x, w in zip(r, widths))
+
+
+def plain_rsk(args, failures, payload):
+    if args.verify is None:
+        yield f"P: {payload['P']}"
+        yield f"Q: {payload['Q']}"
+        yield (f"sign(A) = {payload['sign_A']}  sign(P) = {payload['sign_P']}  "
+               f"sign(Q) = {payload['sign_Q']}  shape sign = {payload['shape_sign']}")
+        return
+    for cls in payload:
+        yield (f"margins {fmt_parts(cls['mu'])} x {fmt_parts(cls['rho'])}: "
+               f"{len(cls['matrices'])} matrices, signed sum "
+               f"{cls['aggregate_sign_count']}, {'ok' if cls['ok'] else 'FAIL'}")
+    yield f"degree {_bound('rsk --verify', args.verify)} {'FAIL' if failures else 'PASS'}"
+    if failures:
+        yield _JSON.encode(decoded(failures[0]))
+
+
+def plain_det(args, failures, payload):
+    report = payload["degree_check"]
+    yield (f"det degree {report['det_degree']} (formula {report['formula']}), "
+           f"leading coefficient {report['leading_coefficient']}: "
+           f"{'ok' if report['ok'] else 'FAIL'}")
+    if report["degree"] <= 3:
+        yield f"det = {payload['determinant']}"
+    if args.factors:
+        for f in payload["factors"]["items"]:
+            yield (f"  {f['factor']}: multiplicity {f['multiplicity']} "
+                   f"(listed {f['listed']}) {'ok' if f['ok'] else 'FAIL'}")
+        yield f"  residual after all listed factors: {payload['factors']['residual']}"
+    if failures:
+        yield _JSON.encode(failures[0])
+
+
+def plain_verify(args, failures, payload):
+    for result in payload["results"]:
+        involutive = result["check"].startswith("hopf/composite-involutive")
+        note = "  (involutive composite; the axiom-satisfying antipode is not involutive)"
+        yield f"{'PASS' if result['ok'] else 'FAIL'}  {result['check']}{note if involutive else ''}"
+    if failures:
+        yield _JSON.encode({"failures": failures})
+
+
+PLAIN = {"pair": lambda args, failures, payload: [str(payload["value"])],
+         "expand": plain_expand, "kostka": plain_table, "gram": plain_table,
+         "rsk": plain_rsk, "det": plain_det, "verify": plain_verify,
+         "tables": lambda args, failures, payload: [payload]}
+CSV = {"pair": lambda payload: [list(payload), list(payload.values())],
+       "expand": lambda payload: [["index", "coefficient"]] + [
+           [index or "-", c] for terms in payload.values() for index, c in terms.items()],
+       "kostka": _cells, "gram": _cells}
+
+
+def write_plain(args, failures, payload):
+    for line in PLAIN[args.command](args, failures, payload):
+        print(line)
+
+
+def write_csv(args, failures, payload):
+    """The one CSV writer of stdout: CRLF line ends, quotes only as needed."""
+    csv.writer(sys.stdout).writerows(CSV[args.command](payload))
+
+
+def write_json(args, failures, payload):
+    if isinstance(payload, dict):
+        print(_JSON.encode(payload))
+        return
+    # the rsk --verify stream: each class's records are JSON texts already,
+    # joined into one flat list as the classes arrive
+    sep = "["
+    for cls in payload:
+        sys.stdout.write(sep + ", ".join(cls["matrices"]))
+        sep = ", "
+    print("]")
+
+
+WRITERS = {"plain": write_plain, "csv": write_csv, "json": write_json}
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="regenerate the appendix tables")
     p.add_argument("--appendix", action="store_true")
     p.add_argument("--out", default="appendix_tables")
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func=cmd_tables, format="plain")
 
     return parser
 
@@ -562,9 +535,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        failures, payload = args.func(args)
+        # inside the handler, so a failed write to stdout exits 2 too
+        WRITERS[args.format](args, failures, payload)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    # read after the write: a streamed payload fills failures as it drains
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -222,6 +222,21 @@ def adjointness_per_triple(n: int) -> list:
     return failures
 
 
+
+def tensor_square_product(x: dict, y: dict) -> dict:
+    """The product of two tensor-square elements, dicts (left, right) ->
+    coefficient over h-basis partitions, as oddring.coproduct returns them:
+    (a (x) b)(c (x) d) = (-1)^(|b| |c|) ac (x) bd, the braiding that
+    oddring._coproduct_word uses, with ac and bd in normal form."""
+    out: dict = {}
+    for (a, b), c1 in x.items():
+        for (c, d), c2 in y.items():
+            sign = -1 if sum(b) * sum(c) % 2 else 1
+            for ac, c3 in oddring.normalize_word(a + c):
+                for bd, c4 in oddring.normalize_word(b + d):
+                    out[ac, bd] = out.get((ac, bd), 0) + sign * c1 * c2 * c3 * c4
+    return {k: v for k, v in out.items() if v}
+
 def odd_rsk_per_matrix(mu, rho) -> list:
     """The records of odd_rsk_check(mu, rho)["matrices"], one matrix at a
     time: each matrix of matrices_with_margins gets a fresh rsk, its sign

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -32,6 +33,43 @@ USAGE_ERRORS = [
     ["rsk", "--verify", "2", "--format", "csv"],
     ["gram", "--degree", "0", "--basis", "partitions"],
 ]
+
+# The failure witness of an injected hopf/group-relations fault.
+WITNESS = [{"lambda": [2, 1], "failed": ["braid"]}]
+
+
+def overstate_q_multiplicity(monkeypatch):
+    """Lists the multiplicity of q in the degree-3 determinant as 6; it is 5."""
+    patched = tuple(
+        dict(f, multiplicities={**f["multiplicities"], 3: 6})
+        if f["name"] == "q" else f
+        for f in gramdet.degenerate_factors()
+    )
+    monkeypatch.setattr(gramdet, "degenerate_factors", lambda: patched)
+
+
+def fail_group_relations(monkeypatch):
+    monkeypatch.setattr(hopf, "group_relations_check", lambda n: WITNESS)
+
+
+def flip_two_row_signs(monkeypatch):
+    """Each row the RSK kernel fills gains one SW-NE pair, which flips sign(A)
+    of every two-row matrix."""
+    fillings = rsk.row_fillings
+    monkeypatch.setattr(rsk, "row_fillings", lambda *args: [
+        (m, exp + 1) for m, exp in fillings(*args)])
+
+
+def raise_an_entry_to_nine(monkeypatch):
+    """After each row insertion the largest entry of P becomes 9, outside the
+    content range."""
+    insert_row = rsk._insert_row
+
+    def raised(p_rows, q_rows, i, row):
+        insert_row(p_rows, q_rows, i, row)
+        max(p_rows, key=lambda r: r[-1])[-1] = 9
+
+    monkeypatch.setattr(rsk, "_insert_row", raised)
 
 
 def random_composition(rng, n):
@@ -290,15 +328,9 @@ class TestCommands:
                             for mu in partitions_of(n) for rho in partitions_of(n))
 
     def test_rsk_verify_entry_out_of_range(self, monkeypatch, capsys):
-        # after each row insertion the largest entry of P becomes 9, outside
-        # the content range: a failed check with its witness, not exit 2
-        insert_row = rsk._insert_row
-
-        def raised(p_rows, q_rows, i, row):
-            insert_row(p_rows, q_rows, i, row)
-            max(p_rows, key=lambda r: r[-1])[-1] = 9
-
-        monkeypatch.setattr(rsk, "_insert_row", raised)
+        # an entry outside the content range: a failed check with its
+        # witness, not exit 2
+        raise_an_entry_to_nine(monkeypatch)
         assert main(["rsk", "--verify", "2"]) == 1
         out, err = capsys.readouterr()
         lines = out.splitlines()
@@ -311,11 +343,7 @@ class TestCommands:
             ([[1], [9]], False), ([[2], [9]], False)]
 
     def test_rsk_verify_failure(self, monkeypatch, capsys):
-        # each row the kernel fills gains one SW-NE pair, which flips sign(A)
-        # of every two-row matrix
-        fillings = rsk.row_fillings
-        monkeypatch.setattr(rsk, "row_fillings", lambda *args: [
-            (m, exp + 1) for m, exp in fillings(*args)])
+        flip_two_row_signs(monkeypatch)
         assert main(["rsk", "--verify", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "margins 1,1 x 1,1: 2 matrices, signed sum 0, FAIL"
@@ -395,27 +423,25 @@ class TestCommands:
             "primitives/centrality p_2",
         ]
 
-    WITNESS = [{"lambda": [2, 1], "failed": ["braid"]}]
-
     def test_verify_failure_plain(self, monkeypatch, capsys):
-        monkeypatch.setattr(hopf, "group_relations_check", lambda n: self.WITNESS)
+        fail_group_relations(monkeypatch)
         assert main(["verify", "--suite", "hopf", "--max-degree", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL  hopf/group-relations" in lines
         assert sum(line.startswith("FAIL") for line in lines) == 1
         assert json.loads(lines[-1]) == {
-            "failures": [{"check": "hopf/group-relations", "witness": self.WITNESS}]
+            "failures": [{"check": "hopf/group-relations", "witness": WITNESS}]
         }
 
     def test_verify_failure_json(self, monkeypatch, capsys):
-        monkeypatch.setattr(hopf, "group_relations_check", lambda n: self.WITNESS)
+        fail_group_relations(monkeypatch)
         assert main(["verify", "--suite", "hopf", "--max-degree", "2",
                      "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert {"check": "hopf/group-relations", "ok": False} in report["results"]
         assert sum(not r["ok"] for r in report["results"]) == 1
         assert report["failures"] == [
-            {"check": "hopf/group-relations", "witness": self.WITNESS}
+            {"check": "hopf/group-relations", "witness": WITNESS}
         ]
 
     def test_tables_byte_stable(self, tmp_path, capsys):
@@ -451,14 +477,7 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_det_overstated_multiplicity_is_a_failure(self, monkeypatch, capsys):
-        from oddsym import gramdet
-
-        patched = tuple(
-            dict(f, multiplicities={**f["multiplicities"], 3: 6})
-            if f["name"] == "q" else f
-            for f in gramdet.degenerate_factors()
-        )
-        monkeypatch.setattr(gramdet, "degenerate_factors", lambda: patched)
+        overstate_q_multiplicity(monkeypatch)
         assert main(["det", "--degree", "3", "--factors"]) == 1
         out = capsys.readouterr().out
         assert "q: multiplicity 5 (listed 6) FAIL" in out
@@ -910,3 +929,130 @@ class TestContract:
         if code != 2 and "csv" in argv:
             list(csv.reader(io.StringIO(out)))
 
+
+
+# The bytes of every renderer: each subcommand in each format it accepts, and
+# the four injected faults, as (argv, fault, exit code, sha256 of stdout).  The
+# tables run in a fresh directory, so their stdout names the relative --out.
+# The two gram JSON rows carry the plain title; every other digest is that of
+# the output before the writers took over the formats.
+RENDER_PINS = [
+    (["pair", "--left", "2,2", "--right", "1,2,1"], None, 0,
+     "76287aa20fdd955213a3035b688fe8af61be2ca6d25afb9bb1eaa9aac39d3ccd"),
+    (["pair", "--left", "2,2", "--right", "1,2,1", "--format", "csv"], None, 0,
+     "0a99e56deb8412908592bb2464f0afbd87b1ea6e4cb3c1db0691a92c90e7736b"),
+    (["pair", "--left", "2,2", "--right", "1,2,1", "--format", "json"], None, 0,
+     "612a9a8c09b2b944d0c7b93ae7a2f142c136841a16ea09b3ba64e873547ad7d3"),
+    (["pair", "--basis", "mixed", "--left", "e2,h1", "--right", "h2,e1", "--q", "-1",
+      "--format", "csv"], None, 0,
+     "8f9a796a02dc8bbebbf81115b03829583308191bf1abd9e55f4b64a41c8d8ed9"),
+    (["expand", "--what", "s", "--index", "2,2"], None, 0,
+     "52f915b5982b45c0c0e5f6644aadb8cc790154e65e7a0bc31baccbba43e854a2"),
+    (["expand", "--what", "s", "--index", "2,2", "--format", "csv"], None, 0,
+     "d1e2516124c172eaf3deede7fceb36a7ab9de9a793078d15b85d153b3cb94015"),
+    (["expand", "--what", "s", "--index", "2,2", "--format", "json"], None, 0,
+     "479389b2a55afae0ab4237da5ada77afeb9c6b02cb235365d8ceac969d8c81b6"),
+    (["expand", "--what", "m", "--index", "1^4", "--in-basis", "e"], None, 0,
+     "fc3db87a7c71d81aa1c71b13af845ea5c15ca82ff6d492d3f8f59a427c1f4455"),
+    (["expand", "--what", "htilde", "--index", "2,1"], None, 0,
+     "8482f0c3518de9621da58a32d2725578db9051ba409ae701dbab119a8a586e4e"),
+    (["expand", "--what", "e", "--index", "0", "--format", "csv"], None, 0,
+     "4c260381f5ab4575f6fe73663f408759d7d40bc734860174d44dbc245045fb99"),
+    (["kostka", "--degree", "4"], None, 0,
+     "09a756ad4a147c79eed1338066af294b2b1670b5359ddc5814250a9b8ef9ae1c"),
+    (["kostka", "--degree", "4", "--format", "csv"], None, 0,
+     "eae837cf561279a012bca6fb75f99776e43cf03fd56a68657fb6d6cb37cb120b"),
+    (["kostka", "--degree", "4", "--format", "json"], None, 0,
+     "647c842656b98699d629cbbad6e3d9471935ec24767af7cd11fd5a5790e67ad9"),
+    (["gram", "--degree", "3"], None, 0,
+     "93de714e3a44611394e0de933529af98e213656bfa00a8eacb0d4febb4b17f9b"),
+    (["gram", "--degree", "3", "--format", "csv"], None, 0,
+     "83cd52afcc8bb0eb629841431cf84b336151f37b9c6d874ae3a18cedc7b67161"),
+    (["gram", "--degree", "3", "--format", "json"], None, 0,
+     "057c68f2369b457734f2bc9e39c461a76c9c66e8b24f588b86de83437bef44e3"),
+    (["gram", "--degree", "4", "--q", "-1", "--basis", "partitions"], None, 0,
+     "32407692da43dd3f5d1ec915007b22b68caaf4bd79417b18c52e8321387be02d"),
+    (["gram", "--degree", "4", "--q", "-1", "--basis", "partitions", "--format", "csv"],
+     None, 0, "99a2519849326999697140e7ad4ec853213cc287650681b021101055669675c1"),
+    (["gram", "--degree", "4", "--q", "-1", "--basis", "partitions", "--format", "json"],
+     None, 0, "cf40d7a2f6b4f81f92569c26f60d91aea46855fd356d02ed65497267306bb3cc"),
+    (["rsk", "--matrix", "[[1,0],[0,1],[1,0]]"], None, 0,
+     "a391fc285110caf654afb480304ded89f1652f5a762a7c90afbd193a64975edd"),
+    (["rsk", "--matrix", "[[1,0],[0,1],[1,0]]", "--format", "json"], None, 0,
+     "271cd8a0e609d1820482848249a75bb92ea738f427bb10db733b84fc0734c73b"),
+    (["rsk", "--verify", "3"], None, 0,
+     "ac8a9304a6d4aa09e6d6e4fccb6640f3596adb5eebbe17e76cb4197611dc4026"),
+    (["rsk", "--verify", "3", "--format", "json"], None, 0,
+     "61ab6f7ed9a8f0588df69f9f82854b2d0909727acdcdeec6deb8dec2a56554fc"),
+    (["det", "--degree", "3", "--factors"], None, 0,
+     "d667bebe89c2ecc5df7a253d6c32fea91ccf0fd0fe7751e2297119bc8e68cbf2"),
+    (["det", "--degree", "3", "--factors", "--format", "json"], None, 0,
+     "e9e4207dd5227d49402c572d68e96e96cd7b45e03af90647de91ed8ac1a74b4c"),
+    (["det", "--degree", "4"], None, 0,
+     "0f6b9fdf19de56ee4c57e776077898bb50df2546bae4621db909d6fabd99c3db"),
+    (["det", "--degree", "4", "--format", "json"], None, 0,
+     "eebcd064c9a942dd6755e5e8a3a4bf9efa42f0ce0a9e9d042551fc88e9328525"),
+    (["verify", "--suite", "all", "--max-degree", "2"], None, 0,
+     "87277ae43603261fdf5fcbdabc109cc984cfe12668a3ea52aff5de5f2697d158"),
+    (["verify", "--suite", "all", "--max-degree", "2", "--format", "json"], None, 0,
+     "2471d9405e979e6cc86db70b75e9602f12ebb1288aab3e20918a6edbaf3db86c"),
+    (["tables", "--appendix", "--out", "t"], None, 0,
+     "1bb51afcb5df872dbb4b44e4930a16852dcd7190cea7c1eee6701aa72135e522"),
+    (["det", "--degree", "3", "--factors"], overstate_q_multiplicity, 1,
+     "6cb695327ab62acc7d2917bb637e3d860bf7ef0a8e7dbf0548c0e215bef76453"),
+    (["det", "--degree", "3", "--factors", "--format", "json"], overstate_q_multiplicity,
+     1, "120867f5d17ead2402a01dfa40961e7a7a970c7f4376c08938ac5ddaa7ceab22"),
+    (["verify", "--suite", "hopf", "--max-degree", "2"], fail_group_relations, 1,
+     "64d5b3b3bf8ee2c64d4bef51629876ac90d9a3c75c29ba6ffbb7b17ea1c0e809"),
+    (["verify", "--suite", "hopf", "--max-degree", "2", "--format", "json"],
+     fail_group_relations, 1, "f05a9a6279f051ab57ccdfd68ce020cb4dbf621cf65cbb321a98c785191bd6bd"),
+    (["rsk", "--verify", "2"], flip_two_row_signs, 1,
+     "78beb4cc8196fd8740e0d4bdb5f8e23a1ca670d43945b69bde7f658c0659a31b"),
+    (["rsk", "--verify", "2", "--format", "json"], flip_two_row_signs, 1,
+     "b3947acda319caf0ae374ce4e5138da1e70269e328eb8deb523f34591ffcfa6e"),
+    (["rsk", "--verify", "2"], raise_an_entry_to_nine, 1,
+     "2b7828d6b9905fe36d1a18e162402aee742acfaab0f84147c231b2074e36065b"),
+    (["rsk", "--verify", "2", "--format", "json"], raise_an_entry_to_nine, 1,
+     "c72f226290b3378725ba281ec627a4d5aaa41f98c79191d620c87f8c15b0ed6a"),
+]
+
+
+class BrokenPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestRenderers:
+    @pytest.mark.parametrize("argv, fault, code, digest", RENDER_PINS, ids=[
+        " ".join(argv) + (f" ({fault.__name__})" if fault else "")
+        for argv, fault, *_ in RENDER_PINS])
+    def test_stdout_bytes(self, monkeypatch, tmp_path, argv, fault, code, digest):
+        monkeypatch.chdir(tmp_path)
+        if fault:
+            fault(monkeypatch)
+        got, out, err = run_main(argv)
+        assert (got, err, hashlib.sha256(out.encode()).hexdigest()) == (code, "", digest)
+
+    def test_gram_json_title_is_the_plain_title(self):
+        argv = ["gram", "--degree", "2", "--q", "-1"]
+        title = run_main(argv)[1].splitlines()[0]
+        assert title == "Gram matrix, degree 2, q = -1"
+        assert json.loads(run_main([*argv, "--format", "json"])[1])["title"] == title
+
+    @pytest.mark.parametrize("argv", [
+        ["rsk", "--verify", "2"],
+        ["rsk", "--verify", "2", "--format", "json"],
+        ["kostka", "--degree", "3"],
+        ["verify", "--suite", "rsk", "--max-degree", "2"],
+        ["pair", "--left", "2", "--right", "2"],
+        ["tables", "--appendix", "--out", "t"],
+    ], ids=" ".join)
+    def test_failed_write_exits_2_with_one_line(self, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(BrokenPipe()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        assert (exc.value.code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")

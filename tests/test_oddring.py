@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddsym import form
+from oddsym import form, oddring
 from oddsym.bases import monomial, schur
 from oddsym.cli import main
 from oddsym.combinat import compositions_of, partitions_of, transpose
@@ -26,7 +26,7 @@ from oddsym.oddring import (
 )
 from oddsym.polyq import det_exact
 
-from oracles import expand_colored_word
+from oracles import expand_colored_word, tensor_square_product
 
 # Seeded property runs: the same examples every run, no example database.
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -56,6 +56,18 @@ def coproduct_in_slot(delta: dict, slot: int) -> dict:
             out[key] = out.get(key, 0) + c * c2
     return {k: v for k, v in out.items() if v}
 
+
+
+def bialgebra_mismatches(n: int):
+    """The ordered pairs (lam, mu) with |lam|, |mu| >= 1 and |lam| + |mu| <= n
+    where Delta(h_lam h_mu) differs from Delta(h_lam) Delta(h_mu) in the
+    tensor square, and the number of pairs."""
+    parts = [lam for d in range(1, n) for lam in partitions_of(d)]
+    pairs = [(lam, mu) for lam in parts for mu in parts if sum(lam) + sum(mu) <= n]
+    bad = [(lam, mu) for lam, mu in pairs
+           if coproduct(h_elt(lam) * h_elt(mu))
+           != tensor_square_product(coproduct(h_elt(lam)), coproduct(h_elt(mu)))]
+    return bad, len(pairs)
 
 class TestStraightening:
     def test_lemma_examples(self):
@@ -325,6 +337,32 @@ class TestCoproduct:
             for lam in partitions_of(n):
                 delta = coproduct(h_elt(lam))
                 assert coproduct_in_slot(delta, 0) == coproduct_in_slot(delta, 1), lam
+
+    def test_bialgebra_axiom(self):
+        # Delta is a ring map into the braided tensor square: what makes the
+        # quotient a Hopf superalgebra
+        assert bialgebra_mismatches(8) == ([], 301)
+
+    def test_bialgebra_axiom_names_a_flipped_sign_in_the_h1_relation(self, monkeypatch):
+        # h_1 h_m = 2 h_(m+1) + h_m h_1 for even m, instead of - h_m h_1
+        true_expansion = oddring._ascent_expansion
+
+        def flipped(a, b):
+            if a == 1 and b % 2 == 0:
+                return ((2, (b + 1,)), (1, (b, 1)))
+            return true_expansion(a, b)
+
+        caches = (oddring.normalize_word, oddring._coproduct_word)
+        monkeypatch.setattr(oddring, "_ascent_expansion", flipped)
+        for memo in caches:
+            memo.cache_clear()
+        try:
+            bad, count = bialgebra_mismatches(8)
+        finally:
+            monkeypatch.undo()
+            for memo in caches:
+                memo.cache_clear()
+        assert (len(bad), count) == (150, 301)
 
     @PROPERTY
     @given(elements(range(7)))

@@ -3,10 +3,11 @@
     PYTHONPATH=src python tools/coverage_log.py [pytest arguments]
 
 Traces only the frames whose code lives under src/oddsym, takes each
-module's statement lines from its syntax tree (docstrings are not run and
-are left out), and prints path:line for every statement that no traced
-frame reached, then the count.  The exit code is pytest's.  Standard library
-and pytest only; the run takes several times as long as plain pytest.
+module's statement lines from its syntax tree (docstrings and the nonlocal
+and global declarations emit no line event and are left out), and prints
+path:line for every statement that no traced frame reached, then the count.
+The exit code is pytest's.  Standard library and pytest only; the run takes
+several times as long as plain pytest.
 """
 
 import ast
@@ -34,11 +35,14 @@ def _trace(frame, event, arg):
 
 
 def statement_lines(tree) -> set[int]:
+    """The lines of the statements that emit a line event when they run:
+    docstrings and the declarations nonlocal and global emit none."""
     docstrings = {id(node.body[0]) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
                   and ast.get_docstring(node, clean=False) is not None}
     return {node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.stmt) and id(node) not in docstrings}
+            if isinstance(node, ast.stmt) and id(node) not in docstrings
+            and not isinstance(node, (ast.Nonlocal, ast.Global))}
 
 
 def main(args) -> int:
