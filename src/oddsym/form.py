@@ -11,8 +11,8 @@ the cable sign of the colored rule (e-letters = black platforms).
 One row step, _row_steps, fills a row with combinat.row_fillings under these
 limits; the generic pairing _pair_h and the q = -1 pairing _pair_colored both
 read it, memoized on the remaining margins.  No word is expanded into
-h-words.  Every q = -1 value, pair_h_at(beta, alpha, -1) included, comes from
-_pair_colored; _pair_h serves generic q and the other integers.
+h-words.  Every q = -1 value comes from _pair_colored, keyed once per pair
+and its transpose (A^T keeps the q = -1 weight); _pair_h serves the other q.
 """
 
 from functools import lru_cache
@@ -44,10 +44,10 @@ def word_degree(word: Word) -> int:
 
 
 def _signed(word: Word) -> tuple[int, ...]:
-    """The signed parts, checked in one pass: n >= 0 and a color h or e."""
+    """The signed parts, checked in one pass: n >= 1 and a color h or e."""
     out = []
     for n, c in word:
-        if n < 0 or c not in (H, E):
+        if n < 1 or c not in (H, E):
             raise ValueError(f"not a colored letter: {(n, c)!r}")
         out.append(-n if c == E and n > 1 else n)
     return tuple(out)
@@ -91,8 +91,8 @@ def _pair_h(beta: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[tuple[int, i
 
 def _h_words(beta, alpha) -> tuple[tuple[int, ...], tuple[int, ...]]:
     beta, alpha = tuple(beta), tuple(alpha)
-    if min(beta + alpha, default=0) < 0:
-        raise ValueError(f"h-word parts must be >= 0: {beta}, {alpha}")
+    if min(beta + alpha, default=1) < 1:
+        raise ValueError(f"h-word parts must be >= 1: {beta}, {alpha}")
     return beta, alpha
 
 
@@ -106,7 +106,8 @@ def pair_h_at(beta, alpha, q: int) -> int:
     ValueError for any other q whose type is not int (bool included)."""
     beta, alpha = _h_words(beta, alpha)
     if q == -1:
-        return _pair_colored(beta, alpha) if sum(beta) == sum(alpha) else 0
+        b, a = (beta, alpha) if beta <= alpha else (alpha, beta)
+        return _pair_colored(b, a) if sum(b) == sum(a) else 0
     if type(q) is not int:
         raise ValueError(f"q must be an integer, not {q!r}")
     return sum(c * q**e for e, c in _pair_h(beta, alpha))
@@ -127,12 +128,16 @@ def pair_words_generic(y: Word, x: Word) -> QPoly:
 @lru_cache(maxsize=None)
 def _pair_colored(beta: tuple[int, ...], alpha: tuple[int, ...]) -> int:
     """The q = -1 pairing of the signed words beta and alpha: the same rows,
-    where q^exp becomes (-1)^exp and every (-q) factor is 1."""
+    where q^exp becomes (-1)^exp and every (-q) factor is 1.  Every call passes
+    the words as (min, max): transposing A swaps the margins and keeps inv, and
+    an entry's limit and T(v-1) depend only on the unordered pair of colors."""
     if not beta:
         return 1 if not alpha else 0
-    rest = beta[1:]
-    return sum(-_pair_colored(rest, left) if exp % 2 else _pair_colored(rest, left)
-               for exp, left in _row_steps(beta[0], alpha))
+    rest, total = beta[1:], 0
+    for exp, left in _row_steps(beta[0], alpha):
+        v = _pair_colored(rest, left) if rest <= left else _pair_colored(left, rest)
+        total += -v if exp % 2 else v
+    return total
 
 
 def pair_words_odd(y, x) -> int:
@@ -146,7 +151,7 @@ def pair_words_odd(y, x) -> int:
         degree = sum(map(abs, sy))
         for cx, sx in xs:
             if cy and cx and degree == sum(map(abs, sx)):
-                total += cy * cx * _pair_colored(sy, sx)
+                total += cy * cx * (_pair_colored(sy, sx) if sy <= sx else _pair_colored(sx, sy))
     return total
 
 

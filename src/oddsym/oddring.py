@@ -161,10 +161,13 @@ def e_letter(n: int) -> OddElt:
 
 
 def e_elt(parts) -> OddElt:
-    out = OddElt.one()
-    for p in parts:
-        out = out * e_letter(p)
-    return out
+    """e_parts, memoized per tuple of parts: e_w = e_(w[:-1]) * e_(w[-1])."""
+    return _e_elt(tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _e_elt(w: tuple[int, ...]) -> OddElt:
+    return _e_elt(w[:-1]) * e_letter(w[-1]) if w else OddElt.one()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from oddsym.combinat import (
     superstandard,
     triangular,
 )
-from oddsym.form import E, _pair_h, e_expansion, htilde_expansion
+from oddsym.form import E, _pair_h, _row_steps, e_expansion, htilde_expansion
 from oddsym.polyq import QPoly, det_exact, unimodular_inverse
 from oddsym.rsk import rsk, sign_record, tableau_facts
 
@@ -134,6 +134,26 @@ def expand_colored_word(word) -> dict:
                 new[key] = new.get(key, 0) + c * fc
         terms = new
     return terms
+
+
+@cache
+def pair_colored_direct(beta, alpha) -> int:
+    """The q = -1 pairing of the signed words beta (rows) and alpha
+    (columns), recursing row by row and memoized on (rows left, columns
+    left) as given, without turning a state to its transposed orientation."""
+    if not beta:
+        return 1 if not alpha else 0
+    rest = beta[1:]
+    return sum(-pair_colored_direct(rest, left) if exp % 2 else pair_colored_direct(rest, left)
+               for exp, left in _row_steps(beta[0], alpha))
+
+
+def e_elt_by_letters(parts) -> oddring.OddElt:
+    """e_parts as the product of its letters, multiplied left to right."""
+    out = oddring.OddElt.one()
+    for p in parts:
+        out = out * oddring.e_letter(p)
+    return out
 
 
 def pair_words_by_expansion(y, x) -> QPoly:

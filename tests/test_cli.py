@@ -8,7 +8,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oddsym import form, gramdet, hopf, rsk
@@ -910,14 +910,23 @@ class TestContract:
         # hi + 1 is well formed, so it gets the bound's message
         assert err.startswith(f"error: {name}") and err.endswith(f" must be in {lo}..{hi}\n")
 
+    @pytest.fixture
+    def checked(self):
+        """The argv that one run of the contract test has checked."""
+        return set()
+
     # every bound edge, and nesting past the recursion limit (which hypothesis
-    # raises while it runs a test), run before the draws
+    # raises while it runs a test), run before the draws; the fixture lives
+    # for the whole run, which is what the health check warns of
     @with_examples([*BOUND_EDGES, ["rsk", "--matrix", "[" * 10**5 + "]" * 10**5]])
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(GRAMMAR, mostly(st.just(-1), st.integers(0, 11)))
-    def test_every_input_exits_0_1_or_2(self, argv, cut):
-        # cut drops one element of the argv, when it has one there
+    def test_every_input_exits_0_1_or_2(self, checked, argv, cut):
+        # cut drops one element of the argv, when it has one there; a draw of
+        # an argv already checked is rejected, so that the draws are distinct
         argv = argv[:cut] + argv[cut + 1:] if 0 <= cut < len(argv) else argv
+        assume(tuple(argv) not in checked)
         code, out, err = run_main(argv)
         failures = (argv[:1] == ["verify"] or argv[:1] == ["det"] and "--factors" in argv
                     or argv[:1] == ["rsk"] and "--verify" in argv)
@@ -928,6 +937,7 @@ class TestContract:
             json.loads(out)
         if code != 2 and "csv" in argv:
             list(csv.reader(io.StringIO(out)))
+        checked.add(tuple(argv))
 
 
 

@@ -38,6 +38,7 @@ from oddsym.polyq import QPoly
 
 from oracles import (
     expand_colored_word,
+    pair_colored_direct,
     pair_htilde_inclusion_exclusion,
     pair_words_by_expansion,
 )
@@ -184,6 +185,23 @@ def colored_words(n: int):
     for parts in compositions_of(n):
         for colors in product((H, E), repeat=len(parts)):
             yield tuple(zip(parts, colors))
+
+
+def transposition_mismatches(n: int) -> tuple[list, int]:
+    """The ordered pairs (y, x) of signed words of degree n where
+    pair_words_odd(y, x), whose memo keeps one orientation of each state,
+    differs from the recursion that keeps both, or where that recursion
+    differs from its transpose: (y, x) != (x, y); and the number of pairs.
+    A part 1 has no color (e_1 = h_1), so its h-letter stands for both."""
+    words = [(w, form._signed(w)) for w in colored_words(n)
+             if all(c == H or p > 1 for p, c in w)]
+    bad = []
+    for y, sy in words:
+        for x, sx in words:
+            direct = pair_colored_direct(sy, sx)
+            if pair_words_odd(y, x) != direct or direct != pair_colored_direct(sx, sy):
+                bad.append((y, x))
+    return bad, len(words) ** 2
 
 
 def e_row_mismatches(n: int) -> tuple[list, int]:
@@ -423,6 +441,26 @@ class TestOddPairing:
             h_word((3,)), h_word((1, 1, 1))
         )
         assert pair_words_odd(y, x) == direct
+
+
+class TestTransposedKey:
+    def test_matches_the_direct_recursion_and_is_symmetric(self):
+        # every ordered pair of signed words of degree <= 6; the degree-7
+        # sweep (57,121 pairs) is a CI step
+        counts = []
+        for n in range(7):
+            bad, count = transposition_mismatches(n)
+            assert not bad, bad[:5]
+            counts.append(count)
+        assert counts == [1, 1, 9, 49, 289, 1681, 9801]
+
+    def test_the_transposed_pair_adds_no_memo_entry(self):
+        y, x = ((2, E), (1, H), (2, H)), ((2, H), (3, E))
+        form._pair_colored.cache_clear()
+        first = pair_words_odd(y, x), pair_h_at((3, 2), (2, 3), -1)
+        misses = form._pair_colored.cache_info().misses
+        assert (pair_words_odd(x, y), pair_h_at((2, 3), (3, 2), -1)) == first == (-1, 3)
+        assert form._pair_colored.cache_info().misses == misses
 
 
 class TestPairHAtMinusOne:

@@ -4,7 +4,7 @@ error a guard raises, or the value it documents, for the input it names."""
 import pytest
 
 from oddsym.combinat import Tableau, compositions_of, dominates, partitions_of, ssyt, triangular
-from oddsym.form import pair_htilde
+from oddsym.form import pair_h_at, pair_h_generic, pair_htilde, pair_words_generic, pair_words_odd
 from oddsym.gramdet import det_degree_formula
 from oddsym.hopf import primitives
 from oddsym.oddring import OddElt
@@ -36,6 +36,19 @@ RAISES = {
                                                ValueError, r"not a partition: \(1, 2\)"),
     "odd_rsk_check on a zero margin": (lambda: odd_rsk_check((0, 3), (3,)), ValueError,
                                        r"not a partition: \(0, 3\)"),
+    # a part 0 would be read as h_0 = e_0 = 1
+    "pair_h_at(-1) on an h-word part 0": (lambda: pair_h_at((0, 2), (2,), -1), ValueError,
+                                          ">= 1"),
+    "pair_h_at(2) on an h-word part 0": (lambda: pair_h_at((2,), (2, 0), 2), ValueError,
+                                         ">= 1"),
+    "pair_h_generic on an h-word part 0": (lambda: pair_h_generic((2, 0), (2,)), ValueError,
+                                           ">= 1"),
+    "pair_words_odd on an e-letter part 0": (
+        lambda: pair_words_odd(((0, "e"), (2, "h")), ((2, "h"),)), ValueError,
+        r"not a colored letter: \(0, 'e'\)"),
+    "pair_words_generic on an h-letter part 0": (
+        lambda: pair_words_generic(((2, "e"),), ((2, "h"), (0, "h"))), ValueError,
+        r"not a colored letter: \(0, 'h'\)"),
 }
 
 RETURNS = {

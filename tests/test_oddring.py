@@ -26,7 +26,7 @@ from oddsym.oddring import (
 )
 from oddsym.polyq import det_exact
 
-from oracles import expand_colored_word, tensor_square_product
+from oracles import e_elt_by_letters, expand_colored_word, tensor_square_product
 
 # Seeded property runs: the same examples every run, no example database.
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -406,6 +406,20 @@ class TestEBasis:
                 assert linear_combination((c, e_elt(mu)) for mu, c in coords.items()) == x
                 y = e_elt(lam)
                 assert e_coordinates(y) == {lam: 1} if lam else {(): 1}
+
+    def test_memo_equals_the_product_of_letters(self):
+        # from a cold memo, each word and its reverse, term for term and in
+        # the same order, over the 128 compositions of degree <= 7
+        oddring._e_elt.cache_clear()
+        for n in range(8):
+            for word in compositions_of(n):
+                for w in (word, word[::-1]):
+                    assert list(e_elt(w).terms.items()) == \
+                        list(e_elt_by_letters(w).terms.items()), w
+
+    def test_a_list_of_parts_is_read_as_its_tuple(self):
+        assert e_elt([2, 1, 2]) == e_elt((2, 1, 2)) == e_elt_by_letters([2, 1, 2])
+        assert e_elt([]) == OddElt.one()
 
     def test_mixed_degrees(self):
         # each term reads the table of its own degree
