@@ -245,6 +245,7 @@ def row_fillings(total: int, caps: tuple[int, ...], limits: tuple[int, ...]):
 
     if total <= room[0]:
         rec(0, total, 0, 0, ())
+    rec = None  # the closure refers to itself: break the cycle for refcounting
     return out
 
 

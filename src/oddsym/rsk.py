@@ -116,7 +116,7 @@ def sign_record(matrix, p: tuple, q: tuple, sign_a: int) -> dict:
     }
 
 
-def odd_rsk_check(mu, rho) -> dict:
+def odd_rsk_check(mu, rho, table=None) -> dict:
     """Sign-tracked RSK over one margin class.
 
     For each N-matrix with row margins mu and column margins rho (partitions
@@ -127,62 +127,68 @@ def odd_rsk_check(mu, rho) -> dict:
     counts.  The signed count must equal the (h,h) entry and the Kostka sum.
 
     One depth-first pass fills the rows top to bottom with row_fillings under
-    the column margins left, in the order of matrices_with_margins.  Each
-    row is inserted into copies of its parent's P and Q, so matrices sharing
-    their first rows share that work, and the row exponents sum to
-    matrix_inv, whose parity is sign(A).  Within the class the row fillings
-    of each (row, column margins left) with their JSON, and the facts of each
-    distinct P and Q (JSON lists, sign, shape, SSYT of the right content),
-    are found once.  A record is kept as the JSON text of its sign_record and
-    "ok", joined at the leaf from those pieces and the ", "-led row texts.
+    the column margins left, in the order of matrices_with_margins; the row
+    exponents sum to matrix_inv, whose parity is sign(A).  P and Q are ids of
+    tableaux in a table, made afresh unless given, that rsk_verify_degree
+    shares among a degree's classes.  Each step (P, row) -> (P', rows where P
+    grew) is made once per table, Q' being Q plus label i in those rows, and
+    so are each tableau's JSON, sign, shape and content if an SSYT, which each
+    record compares with its own class's margins.  A record is the JSON text
+    of its sign_record and "ok", joined from those and the JSON of each row.
     """
     mu, rho = _partition(mu), _partition(rho)
     if sum(mu) != sum(rho):
         raise ValueError("row and column margins have different weights")
-    entries = []
-    images = set()
-    p_facts, q_facts, row_memo = {}, {}, {}
-    total, all_ok = 0, True
+    ids, tabs, steps, facts = table or ({(): 0}, {0: ()}, {}, {})
+    entries, images, row_memo, total, all_ok = [], set(), {}, 0, True
 
-    def facts(memo, key, content):
-        # an entry outside 1..len(content) fails the check rather than raise
-        if key not in memo:
-            t = Tableau(key)
+    def state(rows):  # each distinct tableau gets the next id
+        tabs[ids.setdefault(rows, len(ids))] = rows
+        return ids[rows]
+
+    def fact(s):
+        if s not in facts:
+            t = Tableau(tabs[s])
             lists, sign, shape = tableau_facts(t)
-            ssyt = t.is_semistandard() and max(map(max, key), default=0) <= len(content)
-            memo[key] = (key, json.dumps(lists), sign, shape,
-                         ssyt and t.content(len(content)) == content)
-        return memo[key]
+            content = t.is_semistandard() and t.content(max(map(max, t.rows), default=0))
+            facts[s] = json.dumps(lists), sign, shape, shape_sign(shape), content
+        return facts[s]
 
-    def fill(i, prefix, left, inv, p_rows, q_rows):
+    def fill(i, prefix, left, sign_a, p, q):
         nonlocal total, all_ok
         if i == len(mu):
-            p = facts(p_facts, tuple(map(tuple, p_rows)), rho)
-            q = facts(q_facts, tuple(map(tuple, q_rows)), mu)
-            sign_a, sign_s = -1 if inv % 2 else 1, shape_sign(p[3])
-            ok = sign_a == sign_s * p[2] * q[2] and p[3] == q[3] and p[4] and q[4]
-            entries.append(f'{{"matrix": [{prefix[2:]}], "P": {p[1]}, "Q": {q[1]}, '
-                           f'"sign_A": {sign_a}, "sign_P": {p[2]}, "sign_Q": {q[2]}, '
-                           f'"shape_sign": {sign_s}, "ok": {"true" if ok else "false"}}}')
-            images.add((p[0], q[0]))  # the memo's keys, not this leaf's tuples
+            pf, qf = fact(p), fact(q)
+            ok = sign_a == pf[3] * pf[1] * qf[1] and pf[2] == qf[2] and (pf[4], qf[4]) == (rho, mu)
+            entries.append(f'{{"matrix": [{prefix[2:]}], "P": {pf[0]}, "Q": {qf[0]}, '
+                           f'"sign_A": {sign_a}, "sign_P": {pf[1]}, "sign_Q": {qf[1]}, '
+                           f'"shape_sign": {pf[3]}, "ok": {"true" if ok else "false"}}}')
+            images.add((p, q))
             total, all_ok = total + sign_a, all_ok and ok
             return
         if (i, left) not in row_memo:
             # the last row is what the column margins leave, with no rows below
-            row_memo[i, left] = [(m, exp, ", " + json.dumps(m)) for m, exp in (
-                [(left, 0)] if i == len(mu) - 1 else row_fillings(mu[i], left, left))]
-        for m, exp, text in row_memo[i, left]:
-            p, q = [list(r) for r in p_rows], [list(r) for r in q_rows]
-            _insert_row(p, q, i + 1, m)
-            fill(i + 1, prefix + text, tuple(map(sub, left, m)), inv + exp, p, q)
+            row_memo[i, left] = [(m, (-1) ** exp, ", " + json.dumps(m), tuple(map(sub, left, m)))
+                                 for m, exp in ([(left, 0)] if i == len(mu) - 1
+                                                else row_fillings(mu[i], left, left))]
+        for m, sign, text, rest in row_memo[i, left]:
+            if (p, m) not in steps:
+                rows, grown = [list(r) for r in tabs[p]], [[] for _ in tabs[p]]
+                _insert_row(rows, grown, i + 1, m)
+                steps[p, m] = state(tuple(map(tuple, rows))), tuple(map(len, grown))
+            p2, grown = steps[p, m]
+            if (q, i, grown) not in steps:
+                rows = zip(tabs[q] + ((),), grown)  # P grows by at most one row
+                steps[q, i, grown] = state(tuple(r + (i + 1,) * k for r, k in rows))
+            fill(i + 1, prefix + text, rest, sign_a * sign, p2, steps[q, i, grown])
 
-    fill(0, "", rho, 0, [], [])
-    parts, table = kostka_matrix(sum(mu))
+    fill(0, "", rho, 1, 0, 0)
+    fill = None  # the closure refers to itself: break the cycle for refcounting
+    parts, signed = kostka_matrix(sum(mu))
     pairs = sum(kostka_unsigned(lam, rho) * kostka_unsigned(lam, mu) for lam in parts)
     bijective = all_ok and len(images) == len(entries) == pairs
     aggregate = form.pair_h_at(mu, rho, -1)
     m, r = parts.index(mu), parts.index(rho)
-    kostka_sum = sum(shape_sign(lam) * row[m] * row[r] for lam, row in zip(parts, table))
+    kostka_sum = sum(shape_sign(lam) * row[m] * row[r] for lam, row in zip(parts, signed))
     return {
         "mu": mu,
         "rho": rho,
@@ -202,10 +208,12 @@ def decoded(report: dict) -> dict:
 
 def rsk_verify_degree(n: int):
     """The odd_rsk_check reports of every partition-margin class of weight
-    n, yielded one class at a time so no record outlives its class."""
+    n, one class at a time so no record outlives its class; the classes of
+    the degree share one state table."""
+    table = {(): 0}, {0: ()}, {}, {}
     for mu in partitions_of(n):
         for rho in partitions_of(n):
-            yield odd_rsk_check(mu, rho)
+            yield odd_rsk_check(mu, rho, table)
 
 
 def sign_theorem_check(n: int) -> list:

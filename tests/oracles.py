@@ -85,6 +85,31 @@ def classical_lr(lam, mu) -> dict:
     return {kappa: c for kappa, c in out.items() if c}
 
 
+def horizontal_strip(lam, nu) -> bool:
+    """nu/lam is a horizontal strip: lam_r <= nu_r and nu_(r+1) <= lam_r for
+    every row r, so the boxes of nu not in lam share no column."""
+    lam = tuple(lam) + (0,) * (len(nu) - len(lam))
+    return len(lam) == len(nu) and all(
+        a <= b and (r + 1 == len(nu) or nu[r + 1] <= a) for r, (a, b) in enumerate(zip(lam, nu)))
+
+
+def pieri_signs(lam, nu) -> tuple[int, int]:
+    """The signs of s_nu in s_lam h_k and in h_k s_lam, k = |nu| - |lam|, for
+    a horizontal strip nu/lam, fitted over GF(2) from parity statistics of the
+    coefficients of degree <= 9 and held on those of degrees 10 and 11 (Ellis,
+    "The odd Littlewood-Richardson rule", J. Algebraic Combin. 37, 2013, gives
+    the odd Pieri coefficients with a normalization that may differ by signs).
+    With m_r = nu_r - lam_r and rows numbered from 1:
+      right, s_lam h_k: (-1)^sum_r m_r (m_1 + ... + m_(r-1) + lam_(r+1) + lam_(r+2) + ...);
+      left, h_k s_lam:  (-1)^sum_r m_r (lam_1 + ... + lam_(r-1) + r - 1).
+    """
+    lam = tuple(lam) + (0,) * (len(nu) - len(lam))
+    m = [b - a for a, b in zip(lam, nu)]
+    right = sum(m[r] * (sum(m[:r]) + sum(lam[r + 1:])) for r in range(len(m)))
+    left = sum(m[r] * (sum(lam[:r]) + r) for r in range(len(m)))
+    return (-1) ** right, (-1) ** left
+
+
 def cable_sign(matrix) -> int:
     """Product over entries a of (-1)^T(a-1)."""
     total = sum(triangular(a - 1) for row in matrix for a in row if a >= 1)

@@ -27,7 +27,9 @@ from oracles import (
     basis_matrix_entry_by_enumeration,
     classical_lr,
     form_in_forgotten_basis,
+    horizontal_strip,
     kostka_by_enumeration,
+    pieri_signs,
 )
 
 
@@ -66,15 +68,19 @@ def kostka_mismatches(contents):
     return bad, len(pairs)
 
 
-def odd_schur_product(lam, mu) -> dict:
-    """{kappa: c} with s_lam s_mu = sum_kappa c s_kappa in the quotient ring:
-    the product in h-coordinates, and h_nu = sum_kappa K[kappa][nu] s_kappa."""
-    parts, rows = kostka_matrix(sum(lam) + sum(mu))
+def schur_coordinates(x: OddElt, n: int) -> dict:
+    """{kappa: c} with x = sum_kappa c s_kappa for x of degree n in the
+    quotient ring: x in h-coordinates, and h_nu = sum_kappa K[kappa][nu] s_kappa."""
+    parts, rows = kostka_matrix(n)
     column = {nu: j for j, nu in enumerate(parts)}
-    out = {kappa: sum(c * row[column[nu]] for nu, c in
-                      (bases.schur(lam) * bases.schur(mu)).terms.items())
+    out = {kappa: sum(c * row[column[nu]] for nu, c in x.terms.items())
            for kappa, row in zip(parts, rows)}
     return {kappa: c for kappa, c in out.items() if c}
+
+
+def odd_schur_product(lam, mu) -> dict:
+    """{kappa: c} with s_lam s_mu = sum_kappa c s_kappa in the quotient ring."""
+    return schur_coordinates(bases.schur(lam) * bases.schur(mu), sum(lam) + sum(mu))
 
 
 def littlewood_richardson_violations(total):
@@ -95,6 +101,27 @@ def littlewood_richardson_violations(total):
             if abs(o) > c or (o - c) % 2 or (pieri and abs(o) != c):
                 bad.append((lam, mu, kappa, o, c))
     return bad, len(pairs)
+
+
+def pieri_mismatches(total):
+    """The (side, lam, k, nu, got, want) where the coefficient of s_nu in
+    s_lam h_k (side "right") or h_k s_lam ("left") is not the signed Pieri
+    rule of oracles.pieri_signs, 0 unless nu/lam is a horizontal strip, over
+    nonempty lam and k >= 1 with |lam| + k <= total; and the number of
+    coefficients the rule makes nonzero."""
+    bad, count = [], 0
+    for lam in (lam for n in range(1, total) for lam in partitions_of(n)):
+        for k in range(1, total - sum(lam) + 1):
+            s_lam, h_k, n = bases.schur(lam), h_elt((k,)), sum(lam) + k
+            products = {"right": schur_coordinates(s_lam * h_k, n),
+                        "left": schur_coordinates(h_k * s_lam, n)}
+            for nu in partitions_of(n):
+                signs = pieri_signs(lam, nu) if horizontal_strip(lam, nu) else (0, 0)
+                count += 2 * bool(signs[0])
+                bad += [(side, lam, k, nu, got.get(nu, 0), want)
+                        for (side, got), want in zip(products.items(), signs)
+                        if got.get(nu, 0) != want]
+    return bad, count
 
 
 class TestInverseTables:
@@ -430,3 +457,20 @@ class TestLittlewoodRichardsonBounds:
             monkeypatch.undo()
             oddring.normalize_word.cache_clear()
         assert len({(lam, mu) for lam, mu, *_ in bad}) == 106
+
+
+class TestSignedPieri:
+    """ROADMAP item 15: the signs of the odd Pieri coefficients, which the
+    Littlewood-Richardson bounds read only as absolute values."""
+
+    def test_rule_to_total_degree_9(self):
+        assert pieri_mismatches(9) == ([], 1256)
+
+    def test_names_a_negated_schur_vector(self, monkeypatch):
+        # -s_21 passes the bounds and orthonormality; the signs name it
+        true_schur = bases.schur
+        monkeypatch.setattr(bases, "schur", lambda lam: true_schur(lam).scale(-1)
+                            if tuple(lam) == (2, 1) else true_schur(lam))
+        bad, count = pieri_mismatches(8)
+        assert count == 718 and len(bad) == 38
+        assert {lam for _, lam, *_ in bad} == {(2, 1)}

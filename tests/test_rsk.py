@@ -1,3 +1,4 @@
+import gc
 import json
 import operator
 import types
@@ -12,7 +13,6 @@ from oddsym.combinat import (
     Tableau,
     matrices_with_margins,
     matrix_inv,
-    matrix_sign,
     partitions_of,
     row_fillings,
     shape_sign,
@@ -38,6 +38,24 @@ from oracles import (
 def records(report) -> list:
     """The records of an odd_rsk_check report, read from their JSON text."""
     return [json.loads(e) for e in report["matrices"]]
+
+
+def pass_mismatches(n):
+    """The classes (mu, rho) of weight n whose report from the shared pass
+    rsk_verify_degree(n) differs from a standalone odd_rsk_check(mu, rho), or
+    whose records differ from the per-matrix oracle, each record's text being
+    json.dumps of the oracle's dict, key order included; and the number of
+    classes.  A class out of partitions_of order counts as a mismatch."""
+    parts = partitions_of(n)
+    order = iter([(mu, rho) for mu in parts for rho in parts])
+    bad, count = [], 0
+    for report in rsk_verify_degree(n):
+        mu, rho = report["mu"], report["rho"]
+        count += 1
+        if ((mu, rho) != next(order, None) or report != odd_rsk_check(mu, rho)
+                or report["matrices"] != [json.dumps(e) for e in odd_rsk_per_matrix(mu, rho)]):
+            bad.append((mu, rho))
+    return bad, count
 
 
 def test_package_attribute_is_the_module():
@@ -256,29 +274,31 @@ class TestOddRskTheorem:
                 assert odd_rsk_check(mu, rho)["kostka_identity"] == want
 
     def test_colliding_images_are_not_bijective(self, monkeypatch):
-        # one matrix of the class gets the image of another with the same
-        # shape and sign: every record stays valid and the signed sum is
-        # unchanged, so only the count of distinct images catches it
-        mu = rho = (2, 1, 1)
-        groups = {}
-        for a in matrices_with_margins(mu, rho):
-            groups.setdefault((rsk(a).insertion.shape, matrix_sign(a)), []).append(a)
-        first, second = next(g for g in groups.values() if len(g) > 1)[:2]
-        image, taken = rsk(first), rsk(second)
+        # every row insertion that leaves P = taken leaves image instead, an
+        # SSYT of the same shape, sign and content: every record stays valid
+        # and the signed sum is unchanged, so only the count of distinct
+        # images catches it.  The pass makes each (P, row) step once per
+        # table, so the seam is the insertion of one row into P alone.
+        mu = rho = (2, 2, 1)
+        taken, image = Tableau([(1, 1, 2, 3), (2,)]), Tableau([(1, 1, 2, 2), (3,)])
+        assert (taken.shape, taken.sign()) == (image.shape, image.sign())
+        assert sum(rsk(a).insertion == taken for a in matrices_with_margins(mu, rho)) > 1
         real = oddsym.rsk._insert_row
 
         def colliding(p_rows, q_rows, i, row):
-            # the insertion that completes `second` leaves the image of `first`
             real(p_rows, q_rows, i, row)
-            if (Tableau(p_rows), Tableau(q_rows)) == taken:
-                p_rows[:] = image.insertion.to_lists()
-                q_rows[:] = image.recording.to_lists()
+            if Tableau(p_rows) == taken:
+                p_rows[:] = image.to_lists()
 
         monkeypatch.setattr(oddsym.rsk, "_insert_row", colliding)
         r = odd_rsk_check(mu, rho)
-        assert all(e["ok"] for e in records(r))
-        assert r["aggregate_sign_count"] == r["hh_entry"] == r["kostka_identity"]
-        assert not r["bijective"] and not r["ok"]
+        shared = next(c for c in rsk_verify_degree(5) if (c["mu"], c["rho"]) == (mu, rho))
+        for report in (r, shared):
+            assert len(report["matrices"]) == len(matrices_with_margins(mu, rho))
+            assert all(e["ok"] and e["P"] != taken.to_lists() for e in records(report))
+            assert report["aggregate_sign_count"] == report["hh_entry"] \
+                == report["kostka_identity"]
+            assert not report["bijective"] and not report["ok"]
 
     def test_missing_matrix_is_not_bijective(self, monkeypatch):
         # the pass skips the first filling of the first row, (0, 1, 1), which
@@ -332,17 +352,24 @@ class TestOddRskTheorem:
                              "witness": json.loads(json.dumps([first_bad]))}]
 
     def test_pass_matches_per_matrix_oracle(self):
-        # the matrices in matrices_with_margins order, then record for record:
-        # each record's text is json.dumps of the oracle's dict, key order included
+        # every class of the shared pass, in partitions_of order, equals a
+        # standalone call with a table of its own and the per-matrix oracle,
+        # whose records follow matrices_with_margins
         for n in range(1, 7):
-            for mu in partitions_of(n):
-                for rho in partitions_of(n):
-                    got = odd_rsk_check(mu, rho)["matrices"]
-                    want = odd_rsk_per_matrix(mu, rho)
-                    assert [json.loads(e)["matrix"] for e in got] == [
-                        list(map(list, a)) for a in matrices_with_margins(mu, rho)
-                    ], (mu, rho)
-                    assert got == [json.dumps(e) for e in want], (mu, rho)
+            assert pass_mismatches(n) == ([], len(partitions_of(n)) ** 2), n
+
+    def test_pass_leaves_no_reference_cycle(self):
+        # the recursive closures of the pass and of row_fillings are cut after
+        # their last call, so the degree's table dies by reference counting
+        list(rsk_verify_degree(5))  # the memoized tables of bases and form
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in rsk_verify_degree(5):
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_row_exponents_sum_to_matrix_inv(self):
         # filling row by row under the column margins left, the row_fillings
