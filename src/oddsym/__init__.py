@@ -21,7 +21,6 @@ from .combinat import (
     triangular,
 )
 from .form import (
-    descent_composition,
     e_expansion,
     htilde_expansion,
     pair_h_at,

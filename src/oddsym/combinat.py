@@ -272,6 +272,7 @@ def ssyt(shape, content) -> list[Tableau]:
             add(i + 1, tuple(r + (i + 1,) * k for r, k in zip(rows, m)))
 
     add(0, ((),) * len(shape))
+    add = None  # the closure refers to itself: break the cycle for refcounting
     return found
 
 
@@ -294,6 +295,7 @@ def matrices_with_margins(row_sums, col_sums):
             fill(i + 1, rows + (m,), tuple(c - v for c, v in zip(left, m)))
 
     fill(0, (), col_sums)
+    fill = None  # the closure refers to itself: break the cycle for refcounting
     return out
 
 

@@ -13,12 +13,13 @@ limits; the generic pairing _pair_h and the q = -1 pairing _pair_colored both
 read it, memoized on the remaining margins.  No word is expanded into
 h-words.  Every q = -1 value comes from _pair_colored, keyed once per pair
 and its transpose (A^T keeps the q = -1 weight); _pair_h serves the other q.
+The h-tilde pairing reads row_fillings too, in _htilde_rows.
 """
 
 from functools import lru_cache
-from itertools import accumulate, pairwise, permutations
+from itertools import accumulate, pairwise
 
-from .combinat import compositions_of, inversions, row_fillings, triangular
+from .combinat import compositions_of, row_fillings, triangular
 from .polyq import QPoly
 
 H = "h"
@@ -164,21 +165,7 @@ def e_expansion(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# descent compositions and the platform-restricted form
-
-
-def descent_composition(sigma) -> tuple[int, ...]:
-    """Composition of n whose partial sums are the descent set of sigma
-    (one-line notation on 1..n)."""
-    sigma = tuple(sigma)
-    n = len(sigma)
-    descents = [k for k in range(1, n) if sigma[k - 1] > sigma[k]]
-    parts = []
-    prev = 0
-    for d in descents + [n]:
-        parts.append(d - prev)
-        prev = d
-    return tuple(p for p in parts if p)
+# the h-tilde basis and its pairing
 
 
 def coarsenings(alpha) -> list[tuple[int, ...]]:
@@ -192,37 +179,41 @@ def coarsenings(alpha) -> list[tuple[int, ...]]:
 def htilde_expansion(alpha) -> dict:
     """h-tilde basis element as a signed sum of coarser h-words."""
     alpha = tuple(alpha)
-    la = len(alpha)
-    return {beta: (-1) ** (la - len(beta)) for beta in coarsenings(alpha)}
-
-
-@lru_cache(maxsize=None)
-def _htilde_table(n: int) -> dict:
-    """dict (beta, alpha) -> QPoly from one sweep of S_n: the pairing
-    sums q^length(sigma) over sigma with descent composition alpha and
-    inverse descent composition beta."""
-    table: dict = {}
-    for sigma in permutations(range(1, n + 1)):
-        alpha = descent_composition(sigma)
-        inv_sigma = [0] * n
-        for i, v in enumerate(sigma):
-            inv_sigma[v - 1] = i + 1
-        beta = descent_composition(inv_sigma)
-        length = inversions(sigma)
-        counts = table.setdefault((beta, alpha), {})
-        counts[length] = counts.get(length, 0) + 1
-    return {key: QPoly.from_exponent_counts(c) for key, c in table.items()}
+    return {beta: (-1) ** (len(alpha) - len(beta)) for beta in coarsenings(alpha)}
 
 
 HTILDE_DEGREE_BOUND = 9
 
 
+@lru_cache(maxsize=None)
+def _htilde_rows(beta: tuple[int, ...], left: tuple[int, ...], last: int, begun: int,
+                 done: int) -> tuple[tuple[int, int], ...]:
+    """Exponent/count pairs of (h~_beta, h~_alpha): q^inv(A) over the N-matrices
+    with the rows beta and the column margins left of alpha (0 once used up)
+    whose minimal double-coset permutation has descent compositions alpha and,
+    inverted, beta.  By Solomon (1976), each row begins strictly left of column
+    last, where the row above ends, and each column j has an entry strictly
+    below the first of column j + 1 (bit j of done, set by an entry in column j
+    once bit j + 1 of begun, the columns entered above, is set).  A branch dies
+    when it uses up a column not in done.  Empty when the degrees differ."""
+    if not beta:
+        return () if any(left) else ((0, 1),)
+    counts: dict[int, int] = {}
+    for m, exp in row_fillings(beta[0], left, left):
+        mask = sum(1 << j for j, v in enumerate(m) if v)
+        now = done | begun >> 1 & mask
+        if not mask & ((1 << last) - 1) or any(
+                c == v and not now >> j & 1 for j, (c, v) in enumerate(zip(left[:-1], m))):
+            continue
+        after = tuple(c - v for c, v in zip(left, m))
+        for e, c in _htilde_rows(beta[1:], after, mask.bit_length() - 1, begun | mask, now):
+            counts[e + exp] = counts.get(e + exp, 0) + c
+    return tuple(sorted(counts.items()))
+
+
 def pair_htilde(beta, alpha) -> QPoly:
-    """Pairing of h-tilde elements, read off the memoized permutation table
-    of the degree (one sweep of S_n per degree, n <= HTILDE_DEGREE_BOUND)."""
-    beta, alpha = tuple(beta), tuple(alpha)
-    if sum(alpha) > HTILDE_DEGREE_BOUND or sum(beta) > HTILDE_DEGREE_BOUND:
+    """(h~_beta, h~_alpha) by _htilde_rows, to degree HTILDE_DEGREE_BOUND."""
+    beta, alpha = sorted(_h_words(beta, alpha))  # sigma -> sigma^-1 swaps them
+    if max(sum(beta), sum(alpha)) > HTILDE_DEGREE_BOUND:
         raise ValueError(f"degree bound {HTILDE_DEGREE_BOUND} exceeded")
-    if sum(beta) != sum(alpha):
-        return QPoly()
-    return _htilde_table(sum(alpha)).get((beta, alpha), QPoly())
+    return QPoly.from_exponent_counts(dict(_htilde_rows(beta, alpha, len(alpha), 0, 0)))

@@ -7,10 +7,12 @@ entry by entry.
 
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 
 from oddsym import oddring
 from oddsym.bases import basis_matrix, forgotten, kostka_unsigned
 from oddsym.combinat import (
+    inversions,
     is_partition,
     matrices_with_margins,
     matrix_sign,
@@ -136,12 +138,45 @@ def kostka_by_enumeration(lam, mu) -> tuple[int, int]:
     return superstandard(lam).sign() * sum(t.sign() for t in tableaux), len(tableaux)
 
 
+def descent_composition(sigma) -> tuple[int, ...]:
+    """Composition of n whose partial sums are the descent set of sigma
+    (one-line notation on 1..n)."""
+    sigma = tuple(sigma)
+    n = len(sigma)
+    descents = [k for k in range(1, n) if sigma[k - 1] > sigma[k]]
+    parts = []
+    prev = 0
+    for d in descents + [n]:
+        parts.append(d - prev)
+        prev = d
+    return tuple(p for p in parts if p)
+
+
+@cache
+def htilde_table_by_sweep(n: int) -> dict:
+    """Every h-tilde pairing of degree n from one sweep of S_n, as a dict
+    (beta, alpha) -> QPoly: the pairing sums q^length(sigma) over sigma with
+    descent composition alpha and inverse descent composition beta."""
+    table: dict = {}
+    for sigma in permutations(range(1, n + 1)):
+        alpha = descent_composition(sigma)
+        inv_sigma = [0] * n
+        for i, v in enumerate(sigma):
+            inv_sigma[v - 1] = i + 1
+        beta = descent_composition(inv_sigma)
+        length = inversions(sigma)
+        counts = table.setdefault((beta, alpha), {})
+        counts[length] = counts.get(length, 0) + 1
+    return {key: QPoly.from_exponent_counts(c) for key, c in table.items()}
+
+
 def pair_htilde_inclusion_exclusion(beta, alpha) -> QPoly:
     """h-tilde pairing through the signed coarsening expansions of both
     sides and the generic h-word pairing."""
     counts: dict[int, int] = {}
+    right = htilde_expansion(alpha).items()
     for b, cb in htilde_expansion(beta).items():
-        for a, ca in htilde_expansion(alpha).items():
+        for a, ca in right:
             for e, c in _pair_h(b, a):
                 counts[e] = counts.get(e, 0) + cb * ca * c
     return QPoly.from_exponent_counts(counts)

@@ -21,7 +21,7 @@ from oddsym.combinat import (
 from oddsym.form import (
     E,
     H,
-    descent_composition,
+    HTILDE_DEGREE_BOUND,
     coarsenings,
     e_expansion,
     e_word,
@@ -37,7 +37,9 @@ from oddsym.form import (
 from oddsym.polyq import QPoly
 
 from oracles import (
+    descent_composition,
     expand_colored_word,
+    htilde_table_by_sweep,
     pair_colored_direct,
     pair_htilde_inclusion_exclusion,
     pair_words_by_expansion,
@@ -220,6 +222,21 @@ def e_row_mismatches(n: int) -> tuple[list, int]:
             if pair_words_generic(y, x) != want or pair_words_generic(x, y) != want:
                 bad.append((y, a))
     return bad, count
+
+
+def htilde_mismatches(n: int, inclusion_exclusion: bool = True) -> tuple[list, int]:
+    """The pairs (beta, alpha) of compositions of n where pair_htilde differs
+    from the sweep of S_n or, when asked, from the inclusion-exclusion over
+    coarsenings; and the number of pairs."""
+    comps, table = compositions_of(n), htilde_table_by_sweep(n)
+    bad = []
+    for b in comps:
+        for a in comps:
+            got = pair_htilde(b, a)
+            if got != table.get((b, a), QPoly()) or (
+                    inclusion_exclusion and got != pair_htilde_inclusion_exclusion(b, a)):
+                bad.append((b, a))
+    return bad, len(comps) ** 2
 
 
 def colored_mismatches(n: int) -> tuple[list, int]:
@@ -562,15 +579,23 @@ class TestHtildePairing:
 
     def test_routes_agree_small(self):
         for n in range(1, 6):
-            for b in compositions_of(n):
-                for a in compositions_of(n):
-                    perm = pair_htilde(b, a)
-                    incl = pair_htilde_inclusion_exclusion(b, a)
-                    assert perm == incl, (b, a)
+            assert htilde_mismatches(n) == ([], 4 ** (n - 1)), n
+
+    def test_answers_at_the_bound(self):
+        # degree 9 is HTILDE_DEGREE_BOUND itself, so every pair of it answers
+        assert HTILDE_DEGREE_BOUND == 9
+        assert pair_htilde((1,) * 9, (1,) * 9) == QPoly((0,) * 36 + (1,))
+        assert pair_htilde((9,), (9,)) == ONE
+        for b, a in [((3, 3, 3), (2, 2, 2, 2, 1)), ((4, 5), (6, 3)), ((2, 7), (1, 8)),
+                     ((1, 2, 6), (5, 4)), ((9,), (3, 6)), ((2, 2, 5), (3, 1, 5))]:
+            assert pair_htilde(b, a) == pair_htilde_inclusion_exclusion(b, a), (b, a)
 
     def test_degree_bound(self):
-        with pytest.raises(ValueError):
-            pair_htilde((10,), (10,))
+        # degree 10 raises on either side, also where the degrees differ
+        for beta, alpha in [((10,), (10,)), ((1,) * 10, (9, 1)), ((10,), (9,)),
+                            ((9,), (1,) * 10)]:
+            with pytest.raises(ValueError, match="degree bound 9 exceeded"):
+                pair_htilde(beta, alpha)
 
     def test_e_is_htilde_column(self):
         # e_n = (-1)^T(n-1) htilde_(1^n)

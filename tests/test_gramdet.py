@@ -16,7 +16,7 @@ from oddsym.gramdet import (
     radical_rank,
     reversal_blocks,
 )
-from oddsym.polyq import QPoly
+from oddsym.polyq import QPoly, det_by_interpolation
 
 from oracles import det_at_points
 
@@ -177,6 +177,52 @@ class TestReversalBlocks:
             assert len(plus) - len(minus) == palindromes
             assert len(plus) + len(minus) == 2 ** (n - 1)
         assert [len(b) for b in reversal_blocks(6)] == [20, 12]
+
+
+# (v, s) of det G+ and of det G- per degree: det = +-q^v r with r(0) != 0,
+# and r with its coefficients reversed is s r; G- is empty at degree 2
+BLOCK_SYMMETRY = {2: ((1, 1), None), 3: ((4, 1), (1, -1)), 4: ((13, 1), (4, 1)),
+                  5: ((32, 1), (17, 1)), 6: ((82, 1), (47, 1)), 7: ((185, 1), (136, 1))}
+
+
+def palindromy(p: QPoly) -> tuple[int, int]:
+    """(v, s) with p = q^v r and r(0) != 0, where r with its coefficients
+    reversed is s r: s = 1 palindromic, -1 anti-palindromic, 0 neither."""
+    v = next(i for i, c in enumerate(p.coeffs) if c)
+    r = list(p.coeffs[v:])
+    return v, 1 if r == r[::-1] else -1 if r == [-c for c in r[::-1]] else 0
+
+
+def block_symmetry(n: int) -> tuple:
+    """The palindromy of det G+ and of det G- (None when G- is empty) of the
+    degree-n reversal blocks."""
+    plus, minus = reversal_blocks(n)
+    return (palindromy(det_by_interpolation(plus)),
+            palindromy(det_by_interpolation(minus)) if minus else None)
+
+
+def q_multiplicity(n: int) -> int:
+    """(n - 2) 2^(n-1) + 1, the power of q dividing the degree-n determinant."""
+    return (n - 2) * 2 ** (n - 1) + 1
+
+
+class TestDeterminantStructure:
+    """Facts about the determinant that no production route uses: each block
+    determinant is q^v times a palindromic polynomial (anti-palindromic for G-
+    at degree 3), and q divides det G exactly (n - 2) 2^(n-1) + 1 times.
+    Degree 7 takes a CI step."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_blocks_are_palindromic_after_their_valuations(self, n):
+        assert block_symmetry(n) == BLOCK_SYMMETRY[n]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_q_multiplicity(self, n):
+        assert palindromy(gram_det(n))[0] == q_multiplicity(n)
+
+    def test_listed_q_multiplicities_follow_the_closed_form(self):
+        (q,) = [f for f in degenerate_factors() if f["name"] == "q"]
+        assert q["multiplicities"] == {n: q_multiplicity(n) for n in range(2, 8)}
 
 
 class TestFactors:

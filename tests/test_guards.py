@@ -43,6 +43,7 @@ RAISES = {
                                          ">= 1"),
     "pair_h_generic on an h-word part 0": (lambda: pair_h_generic((2, 0), (2,)), ValueError,
                                            ">= 1"),
+    "pair_htilde on an h-word part 0": (lambda: pair_htilde((0, 2), (2,)), ValueError, ">= 1"),
     "pair_words_odd on an e-letter part 0": (
         lambda: pair_words_odd(((0, "e"), (2, "h")), ((2, "h"),)), ValueError,
         r"not a colored letter: \(0, 'e'\)"),

@@ -16,6 +16,7 @@ from oddsym.combinat import (
     partitions_of,
     row_fillings,
     shape_sign,
+    ssyt,
 )
 from oddsym.rsk import (
     insert_word,
@@ -359,15 +360,19 @@ class TestOddRskTheorem:
             assert pass_mismatches(n) == ([], len(partitions_of(n)) ** 2), n
 
     def test_pass_leaves_no_reference_cycle(self):
-        # the recursive closures of the pass and of row_fillings are cut after
-        # their last call, so the degree's table dies by reference counting
+        # the recursive closures of the pass, of row_fillings, of ssyt and of
+        # matrices_with_margins are cut after their last call, so what they
+        # build dies by reference counting
         list(rsk_verify_degree(5))  # the memoized tables of bases and form
         gc.collect()
         gc.disable()
         try:
-            for _ in rsk_verify_degree(5):
-                pass
-            assert gc.collect() == 0
+            for name, call in [("rsk_verify_degree", lambda: list(rsk_verify_degree(5))),
+                               ("ssyt", lambda: ssyt((3, 2), (2, 2, 1))),
+                               ("matrices_with_margins",
+                                lambda: matrices_with_margins((2, 2), (3, 1)))]:
+                call()
+                assert gc.collect() == 0, name
         finally:
             gc.enable()
 

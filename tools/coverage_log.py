@@ -24,14 +24,17 @@ ran: dict[str, set[int]] = {}
 def _trace(frame, event, arg):
     if not frame.f_code.co_filename.startswith(PACKAGE):
         return None
-    lines = ran.setdefault(frame.f_code.co_filename, set())
+    ran.setdefault(frame.f_code.co_filename, set())
+    return _local
 
-    def local(frame, event, arg):
-        if event == "line":
-            lines.add(frame.f_lineno)
-        return local
 
-    return local
+def _local(frame, event, arg):
+    """One module-level local tracer: a closure made per call would refer to
+    itself and leave a reference cycle per traced frame, which the tests that
+    count cyclic garbage would see."""
+    if event == "line":
+        ran[frame.f_code.co_filename].add(frame.f_lineno)
+    return _local
 
 
 def statement_lines(tree) -> set[int]:
