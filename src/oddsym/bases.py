@@ -51,15 +51,9 @@ def kostka(lam, mu) -> int:
     return _kostka_column(tuple(mu)).get(_partition(lam), (0, 0))[0]
 
 
-def kostka_unsigned(lam: tuple, mu: tuple) -> int:
-    """The q = 1 Kostka number for a partition lam of mu's weight, by the strip pass."""
-    return _kostka_column(mu).get(lam, (0, 0))[1]
-
-
-@lru_cache(maxsize=None)
 def kostka_matrix(n: int):
     """(partitions, rows): rows indexed by shape, columns by content,
-    both ascending lexicographic."""
+    both ascending lexicographic; the positional view of the columns."""
     parts = partitions_of(n)
     cols = [_kostka_column(mu) for mu in parts]
     rows = tuple(tuple(col.get(lam, (0, 0))[0] for col in cols) for lam in parts)
@@ -117,9 +111,10 @@ def forgotten(mu) -> OddElt:
 def _schur_table(n: int) -> dict:
     """Partition-keyed rows: row lam is s_lam in h-coordinates, the inverse
     of the transposed Kostka matrix (h_mu = sum_lam K[lam][mu] s_lam)."""
-    parts, rows = kostka_matrix(n)
-    return oddring._inverse_rows({mu: dict(zip(parts, col))
-                                  for mu, col in zip(parts, zip(*rows))})
+    parts = partitions_of(n)
+    cols = {mu: _kostka_column(mu) for mu in parts}
+    return oddring._inverse_rows({mu: {lam: col.get(lam, (0, 0))[0] for lam in parts}
+                                  for mu, col in cols.items()})
 
 
 def schur(lam) -> OddElt:
@@ -157,14 +152,13 @@ def schur_alt_routes(lam) -> list:
     routes that disagree."""
     lam = tuple(lam)
     n = sum(lam)
-    parts, rows = kostka_matrix(n)
-    K = {rho: dict(zip(parts, row)) for rho, row in zip(parts, rows)}
+    parts = partitions_of(n)
     s = schur(lam)
     checks = {}
 
     # route 1: shape_sign(lam) * s_lam = sum_mu K[lam][mu] m_mu
     via_m = linear_combination(
-        (c, monomial(mu)) for mu, c in K[lam].items() if c
+        (c, monomial(mu)) for mu in parts if (c := kostka(lam, mu))
     )
     checks["monomial_route"] = via_m == s.scale(shape_sign(lam))
 
@@ -186,7 +180,7 @@ def schur_alt_routes(lam) -> list:
     lhs = oddring.e_elt(lam).scale((-1) ** (triangular_sum(lam) % 2))
     rhs = linear_combination(
         ((-1) ** ((sw_ne_pairs(rho) + n) % 2) * c, schur(rho))
-        for rho in parts if (c := K[transpose(rho)][lam])
+        for rho in parts if (c := kostka(transpose(rho), lam))
     )
     checks["twisted_e_route"] = lhs == rhs
 
@@ -194,7 +188,7 @@ def schur_alt_routes(lam) -> list:
     lhs4 = s.scale((-1) ** ((sw + triangular_sum(lt)) % 2))
     rhs4 = linear_combination(
         ((-1) ** (triangular_sum(mu) % 2) * c, forgotten(mu))
-        for mu, c in K[lt].items() if c
+        for mu in parts if (c := kostka(lt, mu))
     )
     checks["twisted_f_route"] = lhs4 == rhs4
 

@@ -104,13 +104,13 @@ def pair_h_generic(beta, alpha) -> QPoly:
 
 def pair_h_at(beta, alpha, q: int) -> int:
     """(h_beta, h_alpha) at an integer q; at q = -1 the colored rule.
-    ValueError for any other q whose type is not int (bool included)."""
+    ValueError for a q whose type is not int (bool included)."""
     beta, alpha = _h_words(beta, alpha)
+    if type(q) is not int:
+        raise ValueError(f"q must be an integer, not {q!r}")
     if q == -1:
         b, a = (beta, alpha) if beta <= alpha else (alpha, beta)
         return _pair_colored(b, a) if sum(b) == sum(a) else 0
-    if type(q) is not int:
-        raise ValueError(f"q must be an integer, not {q!r}")
     return sum(c * q**e for e, c in _pair_h(beta, alpha))
 
 
@@ -177,8 +177,11 @@ def coarsenings(alpha) -> list[tuple[int, ...]]:
 
 
 def htilde_expansion(alpha) -> dict:
-    """h-tilde basis element as a signed sum of coarser h-words."""
+    """h-tilde basis element as a signed sum of coarser h-words; ValueError
+    on a part below 1."""
     alpha = tuple(alpha)
+    if min(alpha, default=1) < 1:
+        raise ValueError(f"h-word parts must be >= 1: {alpha}")
     return {beta: (-1) ** (len(alpha) - len(beta)) for beta in coarsenings(alpha)}
 
 

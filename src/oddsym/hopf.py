@@ -166,7 +166,7 @@ def generating_function_check(n: int) -> list:
     witness."""
     total = linear_combination(
         (-1 if (k * (n - k)) % 2 else 1,
-         sign_twist(oddring.e_letter(n - k)) * h_elt((k,) if k else ()))
+         sign_twist(e_elt((n - k,) if n - k else ())) * h_elt((k,) if k else ()))
         for k in range(n + 1)
     )
     return [{"degree": n, "residual": repr(total)}] if total else []

@@ -20,9 +20,10 @@ form.pair_h_at(p, mu, -1), the colored rule that form memoizes, to give
 (h_p, y); pair and pair_tensor both sum these values.  Linear combinations
 of elements are summed in one dict (linear_combination).
 
-OddElt(terms) checks that every key is a partition, since that is where
-outside input enters.  Results built from normal forms, memo tables or the
-keys of other elements come through OddElt._trusted, which skips the check.
+OddElt(terms) checks that every key is a partition and every coefficient an
+int (bool excluded), since that is where outside input enters.  Results built
+from normal forms, memo tables or the keys of other elements come through
+OddElt._trusted, which skips the checks.
 """
 
 from functools import lru_cache
@@ -72,9 +73,11 @@ class OddElt:
 
     def __init__(self, terms=None):
         terms = {tuple(part): coeff for part, coeff in (terms or {}).items()}
-        for part in terms:
+        for part, coeff in terms.items():
             if not is_partition(part):
                 raise ValueError(f"not a partition: {part}")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient must be an integer, not {coeff!r}")
         self.terms = {p: c for p, c in terms.items() if c}
 
     @classmethod
@@ -154,20 +157,17 @@ def normalize(terms) -> OddElt:
     return linear_combination((c, h_elt(w)) for w, c in terms.items())
 
 
-@lru_cache(maxsize=None)
-def e_letter(n: int) -> OddElt:
-    """e_n in the h-basis, through its canonical word expansion."""
-    return normalize(form.e_expansion(n))
-
-
 def e_elt(parts) -> OddElt:
-    """e_parts, memoized per tuple of parts: e_w = e_(w[:-1]) * e_(w[-1])."""
+    """e_parts, memoized per tuple of parts: e_n through its canonical word
+    expansion, and e_w = e_(w[:-1]) * e_(w[-1]) for a longer word."""
     return _e_elt(tuple(parts))
 
 
 @lru_cache(maxsize=None)
 def _e_elt(w: tuple[int, ...]) -> OddElt:
-    return _e_elt(w[:-1]) * e_letter(w[-1]) if w else OddElt.one()
+    if len(w) > 1:
+        return _e_elt(w[:-1]) * _e_elt(w[-1:])
+    return normalize(form.e_expansion(w[0])) if w else OddElt.one()
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,8 @@ def _fraction_free(matrix, reduced=False):
 # the symmetric blocks G+ and G- of gramdet.reversal_blocks, 2^61 - 1 serves
 # all below degree 5 and G- at degree 6, 2^127 - 1 G+ at degree 5, the
 # NIST P-192 prime G+ at degree 6 (B < 2^162) and G- at degree 7 (B < 2^183),
-# and 2^521 - 1 G+ at degree 7 (B < 2^368).
-DET_PRIMES = (2**61 - 1, 2**127 - 1, 2**192 - 2**64 - 1, 2**255 - 19, 2**521 - 1)
+# and 2^521 - 1 G+ at degree 7 (B < 2^368); no block needs a prime between.
+DET_PRIMES = (2**61 - 1, 2**127 - 1, 2**192 - 2**64 - 1, 2**521 - 1)
 
 
 def det_bounds(matrix) -> tuple[int, int]:

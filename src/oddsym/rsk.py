@@ -14,7 +14,7 @@ from collections import namedtuple
 from operator import sub
 
 from . import form
-from .bases import _partition, kostka_matrix, kostka_unsigned
+from .bases import _kostka_column, _partition
 from .combinat import Tableau, inversions, partitions_of, row_fillings, shape_sign
 
 RskPair = namedtuple("RskPair", ["insertion", "recording"])
@@ -183,12 +183,14 @@ def odd_rsk_check(mu, rho, table=None) -> dict:
 
     fill(0, "", rho, 1, 0, 0)
     fill = None  # the closure refers to itself: break the cycle for refcounting
-    parts, signed = kostka_matrix(sum(mu))
-    pairs = sum(kostka_unsigned(lam, rho) * kostka_unsigned(lam, mu) for lam in parts)
+    pairs = kostka_sum = 0
+    by_rho = _kostka_column(rho)
+    for lam, (signed, plain) in _kostka_column(mu).items():
+        if lam in by_rho:
+            pairs += plain * by_rho[lam][1]
+            kostka_sum += shape_sign(lam) * signed * by_rho[lam][0]
     bijective = all_ok and len(images) == len(entries) == pairs
     aggregate = form.pair_h_at(mu, rho, -1)
-    m, r = parts.index(mu), parts.index(rho)
-    kostka_sum = sum(shape_sign(lam) * row[m] * row[r] for lam, row in zip(parts, signed))
     return {
         "mu": mu,
         "rho": rho,

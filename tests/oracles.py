@@ -10,7 +10,7 @@ from functools import cache
 from itertools import permutations
 
 from oddsym import oddring
-from oddsym.bases import basis_matrix, forgotten, kostka_unsigned
+from oddsym.bases import _kostka_column, basis_matrix, forgotten
 from oddsym.combinat import (
     inversions,
     is_partition,
@@ -59,6 +59,13 @@ def _det_mod(m, p: int) -> int:
                 row = m[i]
                 row[k + 1:] = [a - f * b for a, b in zip(row[k + 1:], pivot_tail)]
     return det % p
+
+
+def kostka_unsigned(lam, mu) -> int:
+    """The q = 1 Kostka number, read by key from the plain counts of the
+    library's strip-pass column (kostka_mismatches checks it against SSYT
+    enumeration)."""
+    return _kostka_column(tuple(mu)).get(tuple(lam), (0, 0))[1]
 
 
 @cache
@@ -212,7 +219,7 @@ def e_elt_by_letters(parts) -> oddring.OddElt:
     """e_parts as the product of its letters, multiplied left to right."""
     out = oddring.OddElt.one()
     for p in parts:
-        out = out * oddring.e_letter(p)
+        out = out * oddring.normalize(e_expansion(p))
     return out
 
 

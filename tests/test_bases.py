@@ -10,7 +10,6 @@ from oddsym.bases import (
     forgotten,
     kostka,
     kostka_matrix,
-    kostka_unsigned,
     monomial,
     power_sum,
     schur,
@@ -20,7 +19,7 @@ from oddsym.bases import (
 from oddsym.cli import main
 from oddsym.combinat import partitions_of, shape_sign, sw_ne_pairs, transpose, triangular_sum
 from oddsym.form import e_word, h_word, pair_h_generic, pair_words_odd
-from oddsym.oddring import OddElt, e_elt, e_letter, h_elt, pair
+from oddsym.oddring import OddElt, e_elt, h_elt, pair
 from oddsym.polyq import det_exact
 
 from oracles import (
@@ -29,6 +28,7 @@ from oracles import (
     form_in_forgotten_basis,
     horizontal_strip,
     kostka_by_enumeration,
+    kostka_unsigned,
     pieri_signs,
 )
 
@@ -341,10 +341,10 @@ class TestDualBases:
         # two dual vectors are not proportional (both facts double-checked
         # through the straightening and Gram routes).
         for n in [1, 2, 3, 4, 5, 6, 8]:
-            sign = e_letter(n).coefficient((n,))
+            sign = e_elt((n,)).coefficient((n,))
             assert sign in (1, -1)
             assert forgotten((n,)) == monomial((n,)).scale(sign)
-        assert e_letter(7).coefficient((7,)) == 5
+        assert e_elt((7,)).coefficient((7,)) == 5
         f7, m7 = forgotten((7,)), monomial((7,))
         assert f7 != m7 and f7 != m7.scale(-1)
 

@@ -1,10 +1,19 @@
 """The argument guards and display methods of the library, one row each: the
 error a guard raises, or the value it documents, for the input it names."""
 
+from fractions import Fraction
+
 import pytest
 
 from oddsym.combinat import Tableau, compositions_of, dominates, partitions_of, ssyt, triangular
-from oddsym.form import pair_h_at, pair_h_generic, pair_htilde, pair_words_generic, pair_words_odd
+from oddsym.form import (
+    htilde_expansion,
+    pair_h_at,
+    pair_h_generic,
+    pair_htilde,
+    pair_words_generic,
+    pair_words_odd,
+)
 from oddsym.gramdet import det_degree_formula
 from oddsym.hopf import primitives
 from oddsym.oddring import OddElt
@@ -44,6 +53,17 @@ RAISES = {
     "pair_h_generic on an h-word part 0": (lambda: pair_h_generic((2, 0), (2,)), ValueError,
                                            ">= 1"),
     "pair_htilde on an h-word part 0": (lambda: pair_htilde((0, 2), (2,)), ValueError, ">= 1"),
+    "htilde_expansion on an h-word part 0": (lambda: htilde_expansion((2, 0)), ValueError,
+                                             ">= 1"),
+    # q = -1.0 equals -1 but must not take the colored rule
+    "pair_h_at at q = -1.0": (lambda: pair_h_at((2, 1), (1, 2), -1.0), ValueError,
+                              "q must be an integer"),
+    "OddElt coefficient 0.5": (lambda: OddElt({(1,): 0.5}), ValueError,
+                               "coefficient must be an integer"),
+    "OddElt coefficient Fraction(1, 2)": (lambda: OddElt({(1,): Fraction(1, 2)}), ValueError,
+                                          "coefficient must be an integer"),
+    "OddElt coefficient True": (lambda: OddElt({(1,): True}), ValueError,
+                                "coefficient must be an integer"),
     "pair_words_odd on an e-letter part 0": (
         lambda: pair_words_odd(((0, "e"), (2, "h")), ((2, "h"),)), ValueError,
         r"not a colored letter: \(0, 'e'\)"),

@@ -24,7 +24,7 @@ from oddsym.hopf import (
     schur_action_check,
     sign_twist,
 )
-from oddsym.oddring import OddElt, coproduct, e_letter, h_elt, linear_combination, pair
+from oddsym.oddring import OddElt, coproduct, e_elt, h_elt, linear_combination, pair
 from oracles import adjointness_per_triple
 
 
@@ -60,17 +60,17 @@ class TestGeneratorMaps:
 
     def test_reverse_fixes_e_generators(self):
         for n in range(1, 8):
-            assert reverse(e_letter(n)) == e_letter(n)
+            assert reverse(e_elt((n,))) == e_elt((n,))
 
 
 class TestAntipode:
     def test_generator_images(self):
         assert antipode(h_elt((1,))) == h_elt((1,)).scale(-1)
-        assert antipode(h_elt((2,))) == e_letter(2).scale(-1)
-        assert antipode(h_elt((3,))) == e_letter(3)
+        assert antipode(h_elt((2,))) == e_elt((2,)).scale(-1)
+        assert antipode(h_elt((3,))) == e_elt((3,))
 
     def test_word_example(self):
-        assert antipode(h_elt((2, 1))) == e_letter(1) * e_letter(2)
+        assert antipode(h_elt((2, 1))) == e_elt((1,)) * e_elt((2,))
 
     def test_koszul_sign_on_words(self):
         assert antipode(h_elt((1, 1))) == h_elt((1, 1)).scale(-1)
@@ -153,7 +153,7 @@ class TestRelations:
 
     def test_involutive_composite_closed_form(self):
         x = h_elt((2, 1))
-        assert omega_sign_twist_reverse(x) == e_letter(1) * e_letter(2)
+        assert omega_sign_twist_reverse(x) == e_elt((1,)) * e_elt((2,))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_generating_function_identity(self, n):

@@ -15,7 +15,6 @@ from oddsym.oddring import (
     coproduct,
     e_coordinates,
     e_elt,
-    e_letter,
     h_elt,
     linear_combination,
     normalize,
@@ -87,12 +86,12 @@ class TestStraightening:
                     assert h_elt((a, b)) == h_elt((b, a))
 
     def test_e_expansions_normalize_to_printed_lists(self):
-        assert e_letter(2) == OddElt({(2,): 1, (1, 1): -1})
-        assert e_letter(3) == OddElt({(3,): 1, (1, 1, 1): -1})
-        assert e_letter(4) == OddElt(
+        assert e_elt((2,)) == OddElt({(2,): 1, (1, 1): -1})
+        assert e_elt((3,)) == OddElt({(3,): 1, (1, 1, 1): -1})
+        assert e_elt((4,)) == OddElt(
             {(4,): -1, (2, 2): 1, (2, 1, 1): -1, (1, 1, 1, 1): 1}
         )
-        assert e_letter(5) == OddElt(
+        assert e_elt((5,)) == OddElt(
             {(5,): 1, (4, 1): -2, (3, 1, 1): -1, (2, 2, 1): 1, (1, 1, 1, 1, 1): 1}
         )
 
@@ -104,7 +103,7 @@ class TestStraightening:
 class TestGramRoute:
     def test_small_examples(self):
         assert normalize_via_gram({h_word((1, 2)): 1}) == OddElt({(3,): 2, (2, 1): -1})
-        assert normalize_via_gram({e_word((4,)): 1}) == e_letter(4)
+        assert normalize_via_gram({e_word((4,)): 1}) == e_elt((4,))
         assert normalize_via_gram({}) == OddElt.zero()
 
     def test_two_routes_words_up_to_degree_6(self):
@@ -199,27 +198,27 @@ class TestRingStructure:
     def test_defining_relations_e(self):
         for a in range(1, 10):
             for b in range(1, 11 - a):
-                ea, eb = e_letter(a), e_letter(b)
+                ea, eb = e_elt((a,)), e_elt((b,))
                 if (a + b) % 2 == 0:
                     assert ea * eb == eb * ea
                 else:
                     sign = -1 if a % 2 else 1
                     lhs = ea * eb + (eb * ea).scale(sign)
-                    rhs = (e_letter(a + 1) * e_letter(b - 1)).scale(sign)
-                    rhs = rhs + e_letter(b - 1) * e_letter(a + 1)
+                    rhs = (e_elt((a + 1,)) * e_elt((b - 1,))).scale(sign)
+                    rhs = rhs + e_elt((b - 1,)) * e_elt((a + 1,))
                     assert lhs == rhs, (a, b)
 
     def test_defining_relations_mixed(self):
         for a in range(1, 10):
             for b in range(1, 11 - a):
-                ha, eb = h_elt((a,)), e_letter(b)
+                ha, eb = h_elt((a,)), e_elt((b,))
                 if (a + b) % 2 == 0:
                     assert ha * eb == eb * ha
                 else:
                     sign = -1 if a % 2 else 1
                     lhs = ha * eb + (eb * ha).scale(sign)
-                    rhs = (h_elt((a + 1,)) * e_letter(b - 1)).scale(sign)
-                    rhs = rhs + e_letter(b - 1) * h_elt((a + 1,))
+                    rhs = (h_elt((a + 1,)) * e_elt((b - 1,))).scale(sign)
+                    rhs = rhs + e_elt((b - 1,)) * h_elt((a + 1,))
                     assert lhs == rhs, (a, b)
 
     def test_dimension_is_partition_count(self):
@@ -329,7 +328,7 @@ class TestCoproduct:
                     for p2, c2 in e_elt((n - k,) if n - k else ()).terms.items():
                         key = (p1, p2)
                         want[key] = want.get(key, 0) + c1 * c2
-            got = coproduct(e_letter(n))
+            got = coproduct(e_elt((n,)))
             assert got == {k: v for k, v in want.items() if v}, n
 
     def test_coassociativity(self):
@@ -393,7 +392,7 @@ class TestCoproduct:
 
 class TestEBasis:
     def test_examples(self):
-        assert e_coordinates(e_letter(4)) == {(4,): 1}
+        assert e_coordinates(e_elt((4,))) == {(4,): 1}
         assert e_coordinates(h_elt((1,))) == {(1,): 1}
         # h_2 = e_2 + e_11 (inverting e_2 = h_2 - h_11)
         assert e_coordinates(h_elt((2,))) == {(2,): 1, (1, 1): 1}

@@ -244,21 +244,20 @@ class TestInterpolation:
         assert det_by_interpolation(m) == QPoly((-(2**60 - 1),))
 
     def test_prime_chosen_by_bound(self):
-        assert DET_PRIMES == (2**61 - 1, 2**127 - 1, 2**192 - 2**64 - 1,
-                              2**255 - 19, 2**521 - 1)
-        assert det_prime(*det_bounds([[QPoly((2**253,))]])) == 2**255 - 19
-        # B >= 2^254 breaks p > 2B + 1 for the first prime
-        m = [[QPoly((-(2**254),))]]
+        assert DET_PRIMES == (2**61 - 1, 2**127 - 1, 2**192 - 2**64 - 1, 2**521 - 1)
+        assert det_prime(*det_bounds([[QPoly((2**191 - 2**63 - 2,))]])) == 2**192 - 2**64 - 1
+        # B >= 2^191 - 2^63 - 1 breaks p > 2B + 1 for the P-192 prime
+        m = [[QPoly((-(2**191 - 2**63 - 1),))]]
         assert det_prime(*det_bounds(m)) == 2**521 - 1
-        assert det_by_interpolation(m) == QPoly((-(2**254),))
+        assert det_by_interpolation(m) == QPoly((-(2**191 - 2**63 - 1),))
         # the points 0..D must stay distinct mod p
-        assert det_prime(2**255 - 19, 1) == 2**521 - 1
+        assert det_prime(2**192 - 2**64 - 1, 1) == 2**521 - 1
         with pytest.raises(ValueError):
             det_prime(2**521, 1)
 
     def test_prime_of_each_gram_block(self):
         # (G+, G-) per degree
-        p61, p127, p192, _, p521 = DET_PRIMES
+        p61, p127, p192, p521 = DET_PRIMES
         want = {2: (p61, p61), 3: (p61, p61), 4: (p61, p61), 5: (p127, p61),
                 6: (p192, p61), 7: (p521, p192)}
         for n, primes in want.items():

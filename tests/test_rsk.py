@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddsym
-from oddsym.bases import kostka_unsigned
 from oddsym.combinat import (
     Tableau,
     matrices_with_margins,
@@ -31,6 +30,7 @@ from oddsym.rsk import (
 from oracles import (
     knuth_neighbors,
     kostka_by_enumeration,
+    kostka_unsigned,
     odd_rsk_per_matrix,
     two_line_array,
 )
