@@ -7,13 +7,14 @@ underlying partition.  Rows and columns move together, so the determinant
 and the ranks do not depend on the order; the determinant is normalized to
 a positive leading coefficient.  The generic determinant is the product of
 the determinants of two symmetric reversal blocks over a power of 2, each
-taken by evaluation and interpolation modulo the first prime of
-polyq.DET_PRIMES that its proven coefficient bound allows.
+taken by evaluation at pairs of points x, 1/x and interpolation modulo the
+first prime of polyq.DET_PRIMES that its proven coefficient bound allows.
 """
 
 import json
 from functools import lru_cache
 from importlib import resources
+from math import comb
 
 from .combinat import compositions_of, partitions_of, sort_to_partition
 from .form import pair_h_at, pair_h_generic
@@ -82,18 +83,34 @@ def gram_det(n: int) -> QPoly:
     and det G = det G+ * det G- / 2^(number of palindromes) (Fassler-Stiefel,
     block diagonalization by symmetry).
 
-    Both blocks take the symmetric route of polyq.det_by_interpolation.  A
-    det G+ not divisible by 2^(number of palindromes), or a product whose
-    value at q = 2 is not the Bareiss det G(2), raises ArithmeticError.
+    Each block determinant is +-q^M times its value at 1/q, with
+    M = dim(block) * C(n, 2), which lets polyq.det_by_interpolation take
+    each elimination at x for x and 1/x both.  Proof: in the h-tilde basis,
+    h~_a = sum over the coarsenings b of a of (-1)^(l(a) - l(b)) h_b,
+    (h~_b, h~_a) sums q^inv(s) over the s in S_n with Des s = S(a) and
+    Des s^-1 = S(b), S the set of partial sums.  s -> w0 s takes inv to
+    C(n, 2) - inv, Des s to its complement and Des s^-1 to its complement
+    mirrored by i -> n - i, so q^C(n,2) G~[b][a](1/q) = G~[rho b][c a](q),
+    c complementing the descent set and rho complementing and mirroring it.
+    c and rho commute with reversal, and so does the unitriangular change
+    from h to h~; on each block that change is unitriangular too, so
+    det G+- = det G~+-, and q^C(n,2) G~+-(1/q) = P G~+-(q) Q with P and Q
+    signed permutation matrices.  Taking determinants gives
+    det G+-(q) = +-q^M det G+-(1/q).
+
+    A det G+ not divisible by 2^(number of palindromes), or a product whose
+    value at q = 2 is not the Bareiss det G(2), raises ArithmeticError, as
+    does a block whose values at 3 and 1/3 break the symmetry.
     """
     if n > GENERIC_DET_BOUND:
         raise ValueError(f"degree bound {GENERIC_DET_BOUND} exceeded")
     plus, minus = reversal_blocks(n)
-    doubled = det_by_interpolation(plus).coeffs
+    doubled = det_by_interpolation(plus, len(plus) * comb(n, 2)).coeffs
     scale = 2 ** (len(plus) - len(minus))
     if any(c % scale for c in doubled):
         raise ArithmeticError(f"degree-{n} G+ determinant is not divisible by {scale}")
-    det = QPoly([c // scale for c in doubled]) * det_by_interpolation(minus)
+    det = QPoly([c // scale for c in doubled]) * det_by_interpolation(
+        minus, len(minus) * comb(n, 2))
     _, at_two = gram_matrix(n, q=2)
     if det.evaluate(2) != det_exact(at_two):
         raise ArithmeticError(f"degree-{n} determinant fails the q = 2 check")

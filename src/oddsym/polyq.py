@@ -6,10 +6,13 @@ fraction-free (Bareiss) elimination over integer matrices gives det_exact and
 rank_exact forward only, and unimodular_inverse and kernel_basis (primitive
 integer vectors) from its reduced form.  The one elimination mod p, LDL^T
 on the upper triangle, serves det_by_interpolation: the determinant of a
-QPoly matrix with no polynomial products, from its values at 0, 1, ..., D
-modulo the first prime of DET_PRIMES above twice a proven coefficient bound,
-interpolated and lifted to the balanced residues; a point LDL^T cannot take
-(not symmetric, or a vanishing pivot) takes det_exact of the residues.
+QPoly matrix with no polynomial products whose determinant is known to
+satisfy det(q) = +-q^M det(1/q).  Each elimination at a node x gives the
+value at x and, through that symmetry, the value at 1/x mod p; Newton
+interpolation on the nodes x, 1/x for x = 3, 4, ... recovers det mod the
+first prime of DET_PRIMES above twice a proven coefficient bound, lifted to
+the balanced residues.  A point LDL^T cannot take (not symmetric, or a
+vanishing pivot) takes det_exact of the residues.
 """
 
 from math import gcd, isqrt
@@ -152,6 +155,9 @@ def divide_out(p: QPoly, f: QPoly) -> tuple[int, QPoly]:
         raise ValueError("cannot extract multiplicities from the zero polynomial")
     if f.degree() == 0:
         raise ValueError("constant divisor has no well-defined multiplicity")
+    if f.coeffs == (0, 1):
+        k = next(i for i, c in enumerate(p.coeffs) if c)
+        return k, QPoly(p.coeffs[k:])
     k = 0
     while True:
         q, r = p.divmod(f)
@@ -224,6 +230,7 @@ def _fraction_free(matrix, reduced=False):
 # all below degree 5 and G- at degree 6, 2^127 - 1 G+ at degree 5, the
 # NIST P-192 prime G+ at degree 6 (B < 2^162) and G- at degree 7 (B < 2^183),
 # and 2^521 - 1 G+ at degree 7 (B < 2^368); no block needs a prime between.
+# The nodes of a block stay below 300, so each prime keeps them distinct.
 DET_PRIMES = (2**61 - 1, 2**127 - 1, 2**192 - 2**64 - 1, 2**521 - 1)
 
 
@@ -252,25 +259,34 @@ def det_bounds(matrix) -> tuple[int, int]:
 
 def det_prime(degree: int, bound: int) -> int:
     """The first prime of DET_PRIMES that is sound for det_bounds (D, B):
-    the balanced lift needs p > 2B + 1, and the D + 1 points must stay
-    distinct mod p.  Raises ValueError past the last prime."""
+    the balanced lift needs p > 2B + 1, and the nodes x and 1/x for
+    x = 3, ..., X, X = D // 2 + 3 at most, must stay distinct mod p:
+    x * y != 1 and x != y mod p for any two of them, which X^2 < p ensures.
+    Raises ValueError past the last prime."""
     for p in DET_PRIMES:
-        if p > 2 * bound + 1 and p > degree:
+        if p > 2 * bound + 1 and (degree // 2 + 3) ** 2 < p:
             return p
     raise ValueError(f"coefficient bound 2^{bound.bit_length()} is too "
                      "large for every prime of DET_PRIMES")
 
 
-def det_by_interpolation(matrix) -> QPoly:
-    """Exact determinant of a square matrix of QPoly entries, with no
-    polynomial products.
+def det_by_interpolation(matrix, m: int) -> QPoly:
+    """Exact determinant of a square matrix A of QPoly entries, with no
+    polynomial products, given det A(q) = +-q^m det A(1/q).
 
-    With (D, B) from det_bounds and p = det_prime(D, B), the matrix is
-    evaluated at x = 0, 1, ..., D modulo p, one point at a time.  Each
+    With (D, B) from det_bounds and p = det_prime(D, B), that symmetry
+    makes the coefficients below v = m - D vanish, so det A = q^v h with h
+    of degree at most K = 2D - m and h(1/x) = s x^-K h(x), s = +-1.  One
+    elimination mod p at a node x gives h(x) = det A(x) / x^v, and with s
+    also h(1/x); the nodes are x = 3, 4, ... and their inverses mod p, K + 1
+    in all.  s is read from direct eliminations at x and at 1/x, x = 3 and
+    on past any x with h(x) = 0.  A ratio other than +-1 there, or m outside
+    [D, 2D], raises ArithmeticError: det A then lacks the symmetry.  Each
     determinant is taken mod p on the upper triangle if A is symmetric, and
     is det_exact of the residues if not or if a diagonal pivot vanishes.
-    Newton interpolation gives det A mod p; since every coefficient lies in
-    [-B, B], the balanced residues are the coefficients themselves.
+    Newton interpolation gives h mod p; since every coefficient lies in
+    [-B, B], the balanced residues are the coefficients themselves.  No
+    node is 2 or 1/2, so a check of the result at q = 2 stays independent.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -278,6 +294,10 @@ def det_by_interpolation(matrix) -> QPoly:
     degree, bound = det_bounds(matrix)
     if bound == 0:
         return QPoly()
+    v, width = m - degree, 2 * degree - m
+    if v < 0 or width < 0:
+        raise ArithmeticError(f"no determinant of degree at most {degree} "
+                              f"is +-q^{m} times its value at 1/q")
     p = det_prime(degree, bound)
     # Each distinct entry is evaluated once per point.
     index = {}
@@ -285,13 +305,30 @@ def det_by_interpolation(matrix) -> QPoly:
     entries = list(index)
     upper = [row[k:] for k, row in enumerate(layout)]
     symmetric = upper == [list(col[k:]) for k, col in enumerate(zip(*layout))]
-    values = []
-    for x in range(degree + 1):
+
+    def h(x):
         at = [e.evaluate(x) % p for e in entries]
-        value = symmetric and _det_sym_mod([[at[i] for i in row] for row in upper], p)
-        values.append(value or det_exact([[at[i] for i in row] for row in layout]) % p)
+        det = symmetric and _det_sym_mod([[at[i] for i in row] for row in upper], p)
+        det = det or det_exact([[at[i] for i in row] for row in layout]) % p
+        return det * pow(x, -v, p) % p
+
+    nodes, values, sign = [], [], None
+    for x in range(3, width // 2 + 4):
+        inverse, hx = pow(x, -1, p), h(x)
+        if sign is None:
+            hinv = h(inverse)
+            mirrored = hinv * pow(x, width, p) % p
+            if mirrored not in (hx, -hx % p):
+                raise ArithmeticError(f"det(1/{x}) is not +-{x}^-{m} det({x}) mod p")
+            if hx:
+                sign = 1 if mirrored == hx else -1
+        else:
+            hinv = sign * hx * pow(inverse, width, p) % p
+        nodes += (x, inverse)
+        values += (hx, hinv)
     half = p // 2
-    return QPoly([c - p if c > half else c for c in _interpolate(values, p)])
+    coeffs = _interpolate(nodes[:width + 1], values[:width + 1], p)
+    return QPoly([0] * v + [c - p if c > half else c for c in coeffs])
 
 
 def _det_sym_mod(upper, p: int) -> int | None:
@@ -313,23 +350,23 @@ def _det_sym_mod(upper, p: int) -> int | None:
     return det
 
 
-def _interpolate(values, p: int) -> list[int]:
+def _interpolate(nodes, values, p: int) -> list[int]:
     """Coefficients mod p, constant term first, of the polynomial of degree
-    below len(values) that takes values[x] at x = 0, 1, ...
+    below len(values) that takes values[i] at nodes[i], the nodes distinct
+    mod p.
 
-    Newton divided differences on consecutive nodes divide by k at level k;
+    Newton divided differences divide by nodes[j] - nodes[j - k] at level k;
     Horner's rule in the Newton basis then expands the product form.
     """
     c = list(values)
     d = len(c)
     for k in range(1, d):
-        inv = pow(k, -1, p)
         for j in range(d - 1, k - 1, -1):
-            c[j] = (c[j] - c[j - 1]) * inv % p
+            c[j] = (c[j] - c[j - 1]) * pow(nodes[j] - nodes[j - k], -1, p) % p
     poly = []
     for k in range(d - 1, -1, -1):
-        # poly <- poly * (x - k) + c[k]
-        poly = [(lo - k * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        # poly <- poly * (x - nodes[k]) + c[k]
+        poly = [(lo - nodes[k] * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
         poly[0] = (poly[0] + c[k]) % p
     return poly
 

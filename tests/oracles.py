@@ -22,7 +22,14 @@ from oddsym.combinat import (
     triangular,
 )
 from oddsym.form import E, _pair_h, _row_steps, e_expansion, htilde_expansion
-from oddsym.polyq import QPoly, det_exact, unimodular_inverse
+from oddsym.polyq import (
+    QPoly,
+    _det_sym_mod,
+    det_bounds,
+    det_exact,
+    det_prime,
+    unimodular_inverse,
+)
 from oddsym.rsk import rsk, sign_record, tableau_facts
 
 
@@ -30,6 +37,51 @@ def det_at_points(matrix, points) -> list[int]:
     """The determinant of a QPoly matrix at each integer point: the integer
     Bareiss determinant of the evaluated matrix, with no interpolation."""
     return [det_exact([[e.evaluate(x) for e in row] for row in matrix]) for x in points]
+
+
+def det_by_consecutive_nodes(matrix) -> QPoly:
+    """Exact determinant of a square QPoly matrix from its values at
+    x = 0, 1, ..., D modulo p = det_prime(D, B), (D, B) = det_bounds: a
+    symmetric elimination mod p at each point, det_exact of the residues
+    where it cannot run, Newton interpolation on consecutive nodes and the
+    balanced lift.  It assumes no symmetry of the determinant, which is what
+    polyq.det_by_interpolation is checked against."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    degree, bound = det_bounds(matrix)
+    if bound == 0:
+        return QPoly()
+    p = det_prime(degree, bound)
+    symmetric = all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i))
+    values = []
+    for x in range(degree + 1):
+        at = [[e.evaluate(x) % p for e in row] for row in matrix]
+        value = symmetric and _det_sym_mod([row[k:] for k, row in enumerate(at)], p)
+        values.append(value or det_exact(at) % p)
+    half = p // 2
+    return QPoly([c - p if c > half else c for c in _interpolate_consecutive(values, p)])
+
+
+def _interpolate_consecutive(values, p: int) -> list[int]:
+    """Coefficients mod p, constant term first, of the polynomial of degree
+    below len(values) that takes values[x] at x = 0, 1, ...
+
+    Newton divided differences on consecutive nodes divide by k at level k;
+    Horner's rule in the Newton basis then expands the product form.
+    """
+    c = list(values)
+    d = len(c)
+    for k in range(1, d):
+        inv = pow(k, -1, p)
+        for j in range(d - 1, k - 1, -1):
+            c[j] = (c[j] - c[j - 1]) * inv % p
+    poly = []
+    for k in range(d - 1, -1, -1):
+        # poly <- poly * (x - k) + c[k]
+        poly = [(lo - k * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + c[k]) % p
+    return poly
 
 
 def _det_mod(m, p: int) -> int:

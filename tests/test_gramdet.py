@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import pytest
 
 from oddsym import gramdet
-from oddsym.combinat import partitions_of
-from oddsym.form import pair_words_odd, h_word
+from oddsym.combinat import compositions_of, partitions_of
+from oddsym.form import h_word, pair_htilde, pair_words_odd
 from oddsym.gramdet import (
     composition_labels,
     degenerate_factors,
@@ -18,7 +20,7 @@ from oddsym.gramdet import (
 )
 from oddsym.polyq import QPoly, det_by_interpolation
 
-from oracles import det_at_points
+from oracles import det_at_points, det_by_consecutive_nodes
 
 
 class TestGramMatrix:
@@ -123,7 +125,7 @@ class TestDeterminant:
 
     def test_q_two_cross_check_rejects_a_wrong_determinant(self, monkeypatch):
         wrong = gram_det(3) + QPoly((0, 0, 1))
-        monkeypatch.setattr(gramdet, "det_by_interpolation", lambda rows: wrong)
+        monkeypatch.setattr(gramdet, "det_by_interpolation", lambda rows, m: wrong)
         with pytest.raises(ArithmeticError):
             gram_det.__wrapped__(3)
 
@@ -133,7 +135,7 @@ class TestDeterminant:
         # degree 3 has two palindromes: the doubled G+ (3 x 3) determinant is
         # divided by 4, and G- is 1 x 1
         wrong = gram_det(3) + QPoly((0, 0, 1))
-        monkeypatch.setattr(gramdet, "det_by_interpolation", lambda rows: (
+        monkeypatch.setattr(gramdet, "det_by_interpolation", lambda rows, m: (
             QPoly((scale,)) * wrong if len(rows) == 3 else QPoly((1,))))
         with pytest.raises(ArithmeticError, match=message):
             gram_det.__wrapped__(3)
@@ -193,12 +195,18 @@ def palindromy(p: QPoly) -> tuple[int, int]:
     return v, 1 if r == r[::-1] else -1 if r == [-c for c in r[::-1]] else 0
 
 
+@cache
+def oracle_block_dets(n: int) -> tuple:
+    """det G+ and det G- of degree n by the consecutive-node oracle, which
+    assumes no symmetry of the determinant."""
+    return tuple(det_by_consecutive_nodes(block) for block in reversal_blocks(n))
+
+
 def block_symmetry(n: int) -> tuple:
     """The palindromy of det G+ and of det G- (None when G- is empty) of the
     degree-n reversal blocks."""
-    plus, minus = reversal_blocks(n)
-    return (palindromy(det_by_interpolation(plus)),
-            palindromy(det_by_interpolation(minus)) if minus else None)
+    plus, minus = oracle_block_dets(n)
+    return palindromy(plus), palindromy(minus) if reversal_blocks(n)[1] else None
 
 
 def q_multiplicity(n: int) -> int:
@@ -206,11 +214,89 @@ def q_multiplicity(n: int) -> int:
     return (n - 2) * 2 ** (n - 1) + 1
 
 
+def route_mismatches(n: int) -> list[str]:
+    """The blocks of degree n whose determinant by det_by_interpolation, with
+    m = dim(block) C(n, 2) as gram_det passes it, differs from the oracle."""
+    return [name for name, block, want in zip(("G+", "G-"), reversal_blocks(n),
+                                              oracle_block_dets(n))
+            if det_by_interpolation(block, len(block) * comb(n, 2)) != want]
+
+
+def descent_set(alpha) -> frozenset:
+    partial, out = 0, set()
+    for part in alpha[:-1]:
+        partial += part
+        out.add(partial)
+    return frozenset(out)
+
+
+def with_descents(n: int, descents) -> tuple:
+    cuts = [0, *sorted(descents), n]
+    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+def complement(alpha) -> tuple:
+    """c: the composition whose descent set is the complement of alpha's."""
+    n = sum(alpha)
+    return with_descents(n, set(range(1, n)) - descent_set(alpha))
+
+
+def complement_mirror(alpha) -> tuple:
+    """rho: complement the descent set, then mirror it by i -> n - i, which
+    reverses the composition."""
+    return complement(alpha)[::-1]
+
+
+def premise_mismatches(n: int, left=complement_mirror, right=complement) -> list:
+    """The pairs (beta, alpha) of compositions of n where
+    q^C(n,2) G~[beta][alpha](1/q) differs from G~[left beta][right alpha](q),
+    G~ the h-tilde Gram matrix (pair_htilde): the w0 symmetry that gram_det's
+    proof rests on, entry by entry."""
+    top = comb(n, 2)
+    comps = compositions_of(n)
+    bad = []
+    for beta in comps:
+        for alpha in comps:
+            coeffs = pair_htilde(beta, alpha).coeffs
+            mirrored = QPoly((0,) * (top + 1 - len(coeffs)) + coeffs[::-1])
+            if mirrored != pair_htilde(left(beta), right(alpha)):
+                bad.append((beta, alpha))
+    return bad
+
+
+def htilde_reversal_blocks(n: int):
+    """(G~+, G~-): reversal_blocks with pair_htilde in place of the h-word
+    pairing."""
+    labels = composition_labels(n)
+    reps = [a for a in labels if a <= a[::-1]]
+    odd = [a for a in reps if a != a[::-1]]
+    plus = [[pair_htilde(b, a) + pair_htilde(b, a[::-1]) for a in reps] for b in reps]
+    minus = [[pair_htilde(b, a) - pair_htilde(b, a[::-1]) for a in odd] for b in odd]
+    return plus, minus
+
+
 class TestDeterminantStructure:
-    """Facts about the determinant that no production route uses: each block
-    determinant is q^v times a palindromic polynomial (anti-palindromic for G-
-    at degree 3), and q divides det G exactly (n - 2) 2^(n-1) + 1 times.
-    Degree 7 takes a CI step."""
+    """The w0 symmetry behind gram_det's route, entry by entry, and what it
+    implies: each block determinant is q^v times a palindromic polynomial
+    (anti-palindromic for G- at degree 3), with v = M - D, and q divides
+    det G exactly (n - 2) 2^(n-1) + 1 times.  Degree 7 takes a CI step, and
+    the premise at degree 8 another."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_htilde_gram_matrix_is_mirrored_by_w0(self, n):
+        assert premise_mismatches(n) == []
+
+    def test_premise_check_catches_an_unmirrored_side(self):
+        assert premise_mismatches(4, left=complement) != []
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_block_determinants_equal_their_htilde_ones(self, n):
+        for det, tilde in zip(oracle_block_dets(n), htilde_reversal_blocks(n)):
+            assert det_by_consecutive_nodes(tilde) == det
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_symmetric_route_equals_the_oracle(self, n):
+        assert route_mismatches(n) == []
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_blocks_are_palindromic_after_their_valuations(self, n):

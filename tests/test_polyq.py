@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given
@@ -21,7 +21,7 @@ from oddsym.polyq import (
     unimodular_inverse,
 )
 
-from oracles import _det_mod, det_at_points, rref_over_q
+from oracles import _det_mod, det_at_points, det_by_consecutive_nodes, rref_over_q
 from test_oddring import PROPERTY
 
 ONE = QPoly((1,))
@@ -49,34 +49,47 @@ def det_cofactor(matrix):
     return total
 
 
+def elimination_points(degree: int, m: int, p: int) -> list[int]:
+    """The points det_by_interpolation eliminates at for a nonzero
+    determinant with h(3) != 0 mod p: x = 3 and 1/3 mod p, then
+    x = 4, 5, ..., enough for the 2D - m + 1 nodes x, 1/x."""
+    return [3, pow(3, -1, p), *range(4, (2 * degree - m) // 2 + 4)]
+
+
 def elimination_mismatches(n):
     """(bad, points, fallbacks) over both symmetric blocks of degree n, each
-    at every point x = 0..D modulo the prime det_by_interpolation takes for
-    it: the (block, x) where symmetric elimination and _det_mod differ, the
-    number of points, and {(block, x): exact determinant of the block at x}
-    where a diagonal pivot vanished (the symmetric route answers None, and
-    det_by_interpolation falls back to det_exact)."""
+    at every point det_by_interpolation eliminates at, modulo the prime it
+    takes for the block: the (block, x) where symmetric elimination and
+    _det_mod differ, the number of points, and {(block, x): determinant of
+    the block at x mod p} where a diagonal pivot vanished (the symmetric
+    route answers None, and det_by_interpolation falls back to
+    det_exact)."""
     bad, points, fallbacks = [], 0, {}
     for name, block in zip(("G+", "G-"), reversal_blocks(n)):
         assert block == [list(col) for col in zip(*block)], (n, name)
         degree, bound = det_bounds(block)
         p = det_prime(degree, bound)
-        for x in range(degree + 1):
+        for x in elimination_points(degree, len(block) * comb(n, 2), p):
             at = [[e.evaluate(x) % p for e in row] for row in block]
             got = _det_sym_mod([row[k:] for k, row in enumerate(at)], p)
             points += 1
             if got is None:
-                fallbacks[name, x] = det_at_points(block, [x])[0]
+                fallbacks[name, x] = det_exact(at) % p
             elif got != _det_mod(at, p):
                 bad.append((name, x))
     return bad, points, fallbacks
 
 
-def fallback_faults(fallbacks):
-    """The fallback points of elimination_mismatches that are not where the
-    Gram blocks fall back: x = 0 or 1, with a singular block there."""
-    return {point: det for point, det in fallbacks.items()
-            if point[1] not in (0, 1) or det != 0}
+def mirrored_matrix(rng, n, width, sign):
+    """An n x n matrix of random entries a with q^width a(1/q) = sign a: its
+    determinant is sign^n q^(n width) det(1/q)."""
+    def entry():
+        c = [0] * (width + 1)
+        for i in range(width // 2 + 1):
+            c[i] = rng.randint(-3, 3) if 2 * i != width or sign == 1 else 0
+            c[width - i] = sign * c[i]
+        return QPoly(c)
+    return [[entry() for _ in range(n)] for _ in range(n)]
 
 
 def is_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
@@ -147,13 +160,13 @@ class TestQPoly:
 class TestDeterminants:
     def test_two_by_two_polynomial(self):
         m = [[ONE + Q, ONE], [ONE, ONE]]
-        assert det_by_interpolation(m) == det_cofactor(m) == Q
+        assert det_by_interpolation(m, 2) == det_cofactor(m) == Q
 
     def test_identity(self):
         for n in range(1, 6):
             eye = [[int(i == j) for j in range(n)] for i in range(n)]
             assert det_exact(eye) == 1
-            assert det_by_interpolation([[QPoly((x,)) for x in row] for row in eye]) == ONE
+            assert det_by_interpolation([[QPoly((x,)) for x in row] for row in eye], 0) == ONE
 
     def test_against_cofactor_random_int(self):
         rng = random.Random(7)
@@ -174,6 +187,7 @@ class TestDeterminants:
 
     def test_composition_gram_degree_3(self):
         # degree-3 composition Gram determinant has q-degree 2^(3-2)*4 - 1 = 7
+        # and is q^12 times its value at 1/q (4 rows, C(3, 2) = 3)
         from oddsym.form import pair_h_generic
         from oddsym.combinat import compositions_of
 
@@ -181,23 +195,25 @@ class TestDeterminants:
         m = [[pair_h_generic(b, a) for a in comps] for b in comps]
         det = det_cofactor(m)
         assert det.degree() == 7
-        assert det_by_interpolation(m) == det
+        assert det_by_interpolation(m, 12) == det_by_consecutive_nodes(m) == det
 
     def test_singular(self):
         assert det_exact([[1, 2], [2, 4]]) == 0
 
 
 class TestInterpolation:
-    """det_by_interpolation against the Bareiss and cofactor oracles."""
+    """det_by_interpolation, and the consecutive-node route of the oracles,
+    against the Bareiss and cofactor oracles."""
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_gram_matrices_match_bareiss(self, n):
-        # integer Bareiss at q = 0..D+1, D the degree formula
+        # integer Bareiss at q = 0..D+1, D the degree formula; the whole
+        # matrix is q^M times its value at 1/q, M = 2^(n-1) C(n, 2)
         from oddsym.gramdet import det_degree_formula, gram_matrix
 
         _, rows = gram_matrix(n)
         points = range(det_degree_formula(n) + 2)
-        det = det_by_interpolation(rows)
+        det = det_by_interpolation(rows, len(rows) * comb(n, 2))
         assert det_at_points(rows, points) == [det.evaluate(x) for x in points]
 
     def test_random_matrices_match_oracles(self):
@@ -205,18 +221,28 @@ class TestInterpolation:
         for _ in range(80):
             n = rng.randint(1, 4)
             m = [[rand_poly(rng, 3, 6) for _ in range(n)] for _ in range(n)]
-            assert det_by_interpolation(m) == det_cofactor(m)
+            assert det_by_consecutive_nodes(m) == det_cofactor(m)
+
+    def test_random_mirrored_matrices_match_cofactors(self):
+        # not symmetric, so every point takes det_exact; with sign -1 and n
+        # odd the determinant is anti-palindromic
+        rng = random.Random(37)
+        for _ in range(60):
+            n, width, sign = rng.randint(1, 4), rng.randint(0, 4), rng.choice((1, -1))
+            m = mirrored_matrix(rng, n, width, sign)
+            assert det_by_interpolation(m, n * width) == det_cofactor(m), (m, width)
 
     def test_singular_and_rank_deficient(self):
+        # the zero determinant is q^m times its value at 1/q for every m
         p = QPoly((1, -2, 3))
-        assert det_by_interpolation([[p, p * Q], [Q, Q * Q]]) == QPoly()
-        assert det_by_interpolation([[p, ONE], [QPoly(), QPoly()]]) == QPoly()
+        assert det_by_interpolation([[p, p * Q], [Q, Q * Q]], 6) == QPoly()
+        assert det_by_interpolation([[p, ONE], [QPoly(), QPoly()]], 0) == QPoly()
 
     def test_edge_shapes(self):
-        assert det_by_interpolation([]) == ONE
-        assert det_by_interpolation([[QPoly((3,))]]) == QPoly((3,))
+        assert det_by_interpolation([], 0) == ONE
+        assert det_by_interpolation([[QPoly((3,))]], 0) == QPoly((3,))
         with pytest.raises(ValueError):
-            det_by_interpolation([[ONE, ONE]])
+            det_by_interpolation([[ONE, ONE]], 0)
 
     def test_negative_coefficients_at_the_bound(self):
         # det = -(B) exactly at the coefficient bound: the balanced lift
@@ -224,12 +250,12 @@ class TestInterpolation:
         big = 10**12
         m = [[QPoly(), QPoly((big,))], [QPoly((big,)), QPoly()]]
         assert det_bounds(m) == (0, big * big)
-        assert det_by_interpolation(m) == QPoly((-(big * big),))
+        assert det_by_interpolation(m, 0) == QPoly((-(big * big),))
 
     def test_bound_beyond_the_prime(self):
-        assert det_by_interpolation([[QPoly((-(2**253),))]]) == QPoly((-(2**253),))
+        assert det_by_interpolation([[QPoly((-(2**253),))]], 0) == QPoly((-(2**253),))
         with pytest.raises(ValueError):
-            det_by_interpolation([[QPoly((2**521,))]])
+            det_by_interpolation([[QPoly((2**521,))]], 0)
 
     def test_negative_coefficients_at_the_smallest_prime(self):
         # B = 2^60 - 2 is the largest bound with 2^61 - 1 > 2B + 1; the
@@ -238,10 +264,10 @@ class TestInterpolation:
                   [[QPoly(), QPoly((2**30 - 1,))], [QPoly((2**30 - 1,)), QPoly()]]):
             degree, bound = det_bounds(m)
             assert det_prime(degree, bound) == 2**61 - 1
-            assert det_by_interpolation(m) == QPoly((-bound,))
+            assert det_by_interpolation(m, 0) == QPoly((-bound,))
         m = [[QPoly((-(2**60 - 1),))]]
         assert det_prime(*det_bounds(m)) == 2**127 - 1
-        assert det_by_interpolation(m) == QPoly((-(2**60 - 1),))
+        assert det_by_interpolation(m, 0) == QPoly((-(2**60 - 1),))
 
     def test_prime_chosen_by_bound(self):
         assert DET_PRIMES == (2**61 - 1, 2**127 - 1, 2**192 - 2**64 - 1, 2**521 - 1)
@@ -249,8 +275,13 @@ class TestInterpolation:
         # B >= 2^191 - 2^63 - 1 breaks p > 2B + 1 for the P-192 prime
         m = [[QPoly((-(2**191 - 2**63 - 1),))]]
         assert det_prime(*det_bounds(m)) == 2**521 - 1
-        assert det_by_interpolation(m) == QPoly((-(2**191 - 2**63 - 1),))
-        # the points 0..D must stay distinct mod p
+        assert det_by_interpolation(m, 0) == QPoly((-(2**191 - 2**63 - 1),))
+        # the nodes x, 1/x for x = 3..D // 2 + 3 must stay distinct mod p:
+        # (D // 2 + 3)^2 < p
+        p61 = DET_PRIMES[0]
+        top = 2 * (isqrt(p61 - 1) - 3) + 1
+        assert det_prime(top, 1) == p61
+        assert det_prime(top + 1, 1) == 2**127 - 1
         assert det_prime(2**192 - 2**64 - 1, 1) == 2**521 - 1
         with pytest.raises(ValueError):
             det_prime(2**521, 1)
@@ -282,27 +313,29 @@ class TestInterpolation:
 
 class TestSymmetricElimination:
     """The upper-triangle elimination of det_by_interpolation against the
-    general elimination mod p of the oracles (_det_mod), and the det_exact
+    general elimination mod p of the oracles (_det_mod), the det_exact
     fallback at a vanishing diagonal pivot or a matrix that is not
-    symmetric.  On the Gram blocks every fallback point is singular, so the
-    hand-made matrices below are what show the fallback's value."""
+    symmetric, and the check of the symmetry that the route relies on.  No
+    point of the Gram blocks falls back, so the hand-made matrices below are
+    what show the fallback's value."""
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_equals_general_elimination_on_the_gram_blocks(self, n):
         bad, points, fallbacks = elimination_mismatches(n)
         assert bad == []
-        assert 0 < len(fallbacks) < points
-        assert fallback_faults(fallbacks) == {}
+        assert points > 0
+        assert fallbacks == {}
 
     def test_vanishing_pivot_falls_back(self):
         p = DET_PRIMES[0]
         assert _det_sym_mod([[0, 1], [0]], p) is None
         assert _det_sym_mod([[p, 1], [5]], p) is None
         assert _det_sym_mod([[1, 1], [1]], p) is None  # the second pivot
-        assert det_by_interpolation([[QPoly(), ONE], [ONE, QPoly()]]) == QPoly((-1,))
-        assert det_by_interpolation([[ONE, ONE], [ONE, ONE]]) == QPoly()
-        # a pivot vanishes at q = 0 (the first) and q = 1 (the second)
-        assert det_by_interpolation([[Q, ONE], [ONE, Q]]) == Q * Q - ONE
+        assert det_by_interpolation([[QPoly(), ONE], [ONE, QPoly()]], 0) == QPoly((-1,))
+        assert det_by_interpolation([[ONE, ONE], [ONE, ONE]], 0) == QPoly()
+        # the first pivot vanishes at both direct points, q = 3 and 1/3
+        a = QPoly((3, -10, 3))
+        assert det_by_interpolation([[a, Q], [Q, a]], 4) == a * a - Q * Q
 
     def test_route_follows_symmetry(self, monkeypatch):
         from oddsym import polyq
@@ -318,19 +351,45 @@ class TestSymmetricElimination:
         recording("_det_sym_mod", _det_sym_mod)
         recording("det_exact", det_exact)
         two = QPoly((2,))
-        assert det_by_interpolation([[ONE + Q, ONE], [two, ONE]]) == Q - ONE
+        # q - 1 = -q (1/q - 1): one pair of points, q = 3 and 1/3
+        assert det_by_interpolation([[ONE + Q, ONE], [two, ONE]], 1) == Q - ONE
         assert calls == [("det_exact", 2)] * 2
         calls.clear()
-        assert det_by_interpolation([[ONE + Q, two], [two, ONE]]) == Q - QPoly((3,))
-        assert calls == [("_det_sym_mod", 2)] * 2
+        # 1 + q^2 + q^4: five nodes, 3 and 1/3 direct, then 4 and 5
+        a = ONE + Q * Q
+        assert det_by_interpolation([[a, Q], [Q, a]], 4) == a * a - Q * Q
+        assert calls == [("_det_sym_mod", 2)] * 4
         calls.clear()
-        assert det_by_interpolation([[Q, ONE], [ONE, Q]]) == Q * Q - ONE
-        assert calls == [("_det_sym_mod", 2), ("det_exact", 2)] * 2 + [("_det_sym_mod", 2)]
+        a = QPoly((3, -10, 3))
+        assert det_by_interpolation([[a, Q], [Q, a]], 4) == a * a - Q * Q
+        assert calls == [("_det_sym_mod", 2), ("det_exact", 2)] * 2 + [("_det_sym_mod", 2)] * 2
+        calls.clear()
+        # the points of elimination_mismatches are the ones eliminated at
+        plus, minus = reversal_blocks(5)
+        for block in (plus, minus):
+            det_by_interpolation(block, len(block) * comb(5, 2))
+        assert len(calls) == elimination_mismatches(5)[1] == 35
 
-    def test_fallback_faults_name_a_wrong_point(self):
-        assert fallback_faults({("G+", 0): 0, ("G-", 1): 0}) == {}
-        assert fallback_faults({("G+", 2): 0, ("G-", 1): 3}) == {("G+", 2): 0,
-                                                                 ("G-", 1): 3}
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_a_wrong_m_is_rejected(self, shift):
+        plus, _ = reversal_blocks(4)
+        m = len(plus) * comb(4, 2)
+        with pytest.raises(ArithmeticError, match=r"det\(1/3\) is not"):
+            det_by_interpolation(plus, m + shift)
+
+    def test_a_matrix_without_the_symmetry_is_rejected(self):
+        plus, _ = reversal_blocks(4)
+        m = len(plus) * comb(4, 2)
+        changed = [row[:] for row in plus]
+        changed[0][0] = changed[0][0] + ONE
+        with pytest.raises(ArithmeticError, match=r"det\(1/3\) is not"):
+            det_by_interpolation(changed, m)
+        with pytest.raises(ArithmeticError, match=r"det\(1/3\) is not"):
+            det_by_interpolation([[ONE + QPoly((0, 2))]], 1)
+        # m outside [D, 2D]: no determinant of degree D has the symmetry
+        for m in (-1, 3):
+            with pytest.raises(ArithmeticError, match="no determinant"):
+                det_by_interpolation([[ONE + Q]], m)
 
 
 class TestUnimodular:
@@ -363,9 +422,28 @@ class TestUnimodular:
             assert prod == [[int(i == j) for j in range(size)] for i in range(size)]
 
 
+def divide_out_by_division(p: QPoly, f: QPoly) -> tuple[int, QPoly]:
+    """divide_out by repeated QPoly.divmod, for every divisor."""
+    k = 0
+    while True:
+        quotient, remainder = p.divmod(f)
+        if not remainder.is_zero():
+            return k, p
+        p, k = quotient, k + 1
+
+
 class TestDivideOut:
     def test_pure_power(self):
         assert divide_out(Q**5, Q) == (5, ONE)
+
+    def test_power_of_q_equals_repeated_division(self):
+        from oddsym.gramdet import gram_det
+
+        rng = random.Random(5)
+        polys = [gram_det(n) for n in range(1, 6)] + [ONE, -Q, Q**3 * (ONE - Q)]
+        polys += [p for p in (rand_poly(rng, 6) for _ in range(40)) if not p.is_zero()]
+        for p in polys:
+            assert divide_out(p, Q) == divide_out_by_division(p, Q), p
 
     def test_degree_three_gram_factors(self):
         from oddsym.gramdet import gram_det
